@@ -126,17 +126,17 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := queries.NewEdgeInput()
+	in := engine.NewInput[graph.Edge](engine.New(1))
 	// Inline the TbI pipeline so the join node is reachable for SetFastPath.
-	joined := incremental.Join(in, in,
+	joined := engine.Join(in, in,
 		func(e graph.Edge) graph.Node { return e.Dst },
 		func(e graph.Edge) graph.Node { return e.Src },
 		func(x, y graph.Edge) queries.Path { return queries.Path{A: x.Src, B: x.Dst, C: y.Dst} })
 	joined.SetFastPath(fastPath)
-	paths := incremental.Where[queries.Path](joined, func(p queries.Path) bool { return p.A != p.C })
-	rotated := incremental.Select[queries.Path](paths, func(p queries.Path) queries.Path { return p.Rotate() })
-	tris := incremental.Intersect[queries.Path](rotated, paths)
-	unit := incremental.Select[queries.Path](tris, func(queries.Path) queries.Unit { return queries.Unit{} })
+	paths := engine.Where[queries.Path](joined, func(p queries.Path) bool { return p.A != p.C })
+	rotated := engine.Select[queries.Path](paths, func(p queries.Path) queries.Path { return p.Rotate() })
+	tris := engine.Intersect[queries.Path](rotated, paths)
+	unit := engine.Select[queries.Path](tris, func(queries.Path) queries.Unit { return queries.Unit{} })
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		unit,
 		incremental.MapObservations[queries.Unit]{{}: queries.TbISignal(g) * 1.5},
@@ -214,8 +214,8 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := queries.NewEdgeInput()
-			stream := queries.TbDPipeline(in, bucket)
+			in := engine.NewInput[graph.Edge](engine.New(1))
+			stream := queries.TbDPipeline(nil, in, bucket)
 			sink := incremental.NewNoisyCountSink[queries.DegTriple](
 				stream, incremental.MapObservations[queries.DegTriple]{}, nil, 0.5)
 			state := mcmc.NewGraphState(g, in)
@@ -438,13 +438,13 @@ func BenchmarkEngineShards(b *testing.B) {
 		build func(in engine.Source[graph.Edge]) func() float64
 	}{
 		{"degreedist", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineDegreeCCDFPipeline(in)).Norm
+			return engine.Collect(queries.DegreeCCDFPipeline(in)).Norm
 		}},
 		{"triangles", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineTbDPipeline(in, 20)).Norm
+			return engine.Collect(queries.TbDPipeline(nil, in, 20)).Norm
 		}},
 		{"jdd", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineJDDPipeline(in)).Norm
+			return engine.Collect(queries.JDDPipeline(nil, in)).Norm
 		}},
 	}
 	for _, w := range workloads {
@@ -454,7 +454,7 @@ func BenchmarkEngineShards(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e := engine.New(shards)
-					in := queries.NewEngineEdgeInput(e)
+					in := engine.NewInput[graph.Edge](e)
 					norm := w.build(in)
 					in.PushDataset(initial)
 					for _, batch := range swapBatches {
@@ -493,8 +493,8 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	jddObserved := incremental.MapObservations[queries.DegPair]{}
 	pathsObserved := incremental.MapObservations[queries.Path]{}
 	{
-		in := queries.NewEdgeInput()
-		jddColl := incremental.Collect(queries.JDDPipeline(in))
+		in := engine.NewInput[graph.Edge](engine.New(1))
+		jddColl := incremental.Collect(queries.JDDPipeline(nil, in))
 		pathColl := incremental.Collect(queries.PathsPipeline(in))
 		in.PushDataset(graph.SymmetricEdges(g))
 		jddColl.Snapshot().Range(func(x queries.DegPair, w float64) { jddObserved[x] = w })
@@ -515,13 +515,13 @@ func BenchmarkRejectHeavy(b *testing.B) {
 			var accepted int
 			var steps int
 			for i := 0; i < b.N; i++ {
-				in := queries.NewEdgeInput()
+				in := engine.NewInput[graph.Edge](engine.New(1))
 				sink := incremental.NewNoisyCountSink[queries.Unit](
-					queries.TbIPipeline(in),
+					queries.TbIPipeline(nil, in),
 					incremental.MapObservations[queries.Unit]{{}: observed},
 					[]queries.Unit{{}}, 0.5)
 				jddSink := incremental.NewNoisyCountSink[queries.DegPair](
-					queries.JDDPipeline(in), jddObserved, nil, 0.5)
+					queries.JDDPipeline(nil, in), jddObserved, nil, 0.5)
 				pathSink := incremental.NewNoisyCountSink[queries.Path](
 					queries.PathsPipeline(in), pathsObserved, nil, 0.5)
 				var input mcmc.Input = in
@@ -687,7 +687,7 @@ func BenchmarkMillionEdge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in := queries.NewEdgeInput()
+				in := engine.NewInput[graph.Edge](engine.New(1))
 				ccdf := incremental.NewNoisyCountSink[int](
 					queries.DegreeCCDFPipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
 				seq := incremental.NewNoisyCountSink[int](

@@ -82,7 +82,7 @@ func runSynthesize(args []string) error {
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", 10000, "posterior sharpening")
 	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, -1 = serial reference engine")
+	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, -1 = one shard run inline")
 	chains := fs.Int("chains", 1, "replica-exchange chains at a geometric pow ladder (1 = single chain)")
 	swapEvery := fs.Int("swap-every", 1024, "steps between replica swap attempts (with -chains > 1)")
 	fuse := fs.Bool("fuse", true,

@@ -1,11 +1,12 @@
-// Package engine is the sharded parallel executor for wPINQ's incremental
-// dataflow engine (wpinq/internal/incremental).
+// Package engine is the round-scheduled dataflow executor that runs every
+// wPINQ fit pipeline, over the operator kernels of
+// wpinq/internal/incremental.
 //
-// The incremental engine evaluates a query as a graph of operator nodes,
-// each translating input weight differences into output differences. Its
-// nodes are single-threaded: one goroutine owns the whole graph. This
-// package runs the same operators at scale by partitioning every
-// operator's record space into hash shards:
+// A query is a graph of operator nodes, each translating input weight
+// differences into output differences. The kernels are single-threaded;
+// this package schedules them by rounds and runs them at scale by
+// partitioning every operator's record space into hash shards (one
+// shard, run inline, is the layout Shards -1 selects):
 //
 //   - Stateless operators (Select, Where, SelectMany, Concat, Except) are
 //     embarrassingly parallel: each round's input is cut into contiguous
@@ -17,9 +18,9 @@
 //     shard's private operator state in parallel.
 //
 // Each shard's state is a private instance of the corresponding
-// incremental operator, so the sharded engine inherits the incremental
-// engine's semantics — including the Join fast path — per shard; the
-// executor adds only routing, batching, and scheduling. Equivalence tests
+// incremental kernel, so the engine inherits the kernels' semantics —
+// including the Join fast path — per shard; the executor adds only
+// routing, batching, and scheduling. Equivalence tests
 // against the from-scratch reference semantics in wpinq/internal/weighted
 // pin the combination.
 //
@@ -45,11 +46,11 @@
 // O(touched keys) without another round (see txn.go and the incremental
 // package's TxnOp).
 //
-// # Interoperating with the incremental engine
+// # Interoperating with the incremental package
 //
 // Every engine stream implements incremental.Source, so the incremental
-// package's terminal consumers — Collect, NewNoisyCountSink — attach to a
-// sharded pipeline unchanged. Handlers subscribed this way run serially
+// package's terminal consumers — Collect, NewNoisyCountSink — attach to
+// an engine pipeline unchanged. Handlers subscribed this way run serially
 // on the scheduling goroutine. The engine's own Collect is the sharded,
 // parallel materialization sink.
 //
@@ -105,19 +106,24 @@ type processor interface {
 // otherwise identically-seeded runs. One process-wide seed makes
 // repeated runs (and concurrent replica-exchange chains) reproducible
 // within a process; across processes the seed differs, so sharded-run
-// scores agree only to accumulation tolerance (the serial engine and
-// single-shard engines are bit-reproducible across processes too).
+// scores agree only to accumulation tolerance (single-shard engines are
+// bit-reproducible across processes too).
 //
 //wpinq:nondeterministic-ok the one sanctioned random seed: process-wide shard routing, documented above; drawn once at init, never on a scoring path
 var processSeed = maphash.MakeSeed()
 
 // New returns an engine that partitions operator state into the given
-// number of shards. shards <= 0 selects one shard per available CPU
-// (GOMAXPROCS); the count is clamped to [1, MaxShards]. New(1) is the
-// serial configuration: identical scheduling, no parallel dispatch.
+// number of shards. shards == 0 selects one shard per available CPU
+// (GOMAXPROCS) and shards < 0 selects one shard (the -1 of
+// synth.Config.Shards); the count is clamped to [1, MaxShards]. A
+// one-shard engine runs every round inline on the calling goroutine:
+// identical scheduling, no parallel dispatch.
 func New(shards int) *Engine {
-	if shards <= 0 {
+	switch {
+	case shards == 0:
 		shards = runtime.GOMAXPROCS(0)
+	case shards < 0:
+		shards = 1
 	}
 	if shards > MaxShards {
 		shards = MaxShards
@@ -167,21 +173,22 @@ func shardOf[T comparable](e *Engine, x T) int {
 // forN invokes f(0), ..., f(n-1). When the round's work warrants it, the
 // calls are spread over up to Shards() worker goroutines; f must
 // therefore be safe to run concurrently for distinct arguments. forN
-// returns only after every call completes.
+// returns only after every call completes. The inline path allocates
+// nothing, so steady-state rounds cost no garbage.
 func (e *Engine) forN(work, n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := e.shards
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.shards, n)
 	if workers <= 1 || work <= e.cutoff {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
+	parallelFor(workers, n, f)
+}
+
+// parallelFor runs f(0), ..., f(n-1) striped over workers goroutines and
+// waits for them all.
+func parallelFor(workers, n int, f func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -335,32 +342,87 @@ func splitChunks[T comparable](batches [][]incremental.Delta[T], total, n int, d
 	return dst
 }
 
+// maxRetained bounds, in differences, the round-scratch buffers a node
+// keeps between rounds of ordinary size. Steady-state rounds (one MCMC
+// proposal) stay far below it and reuse their buffers allocation-free.
+// A bulk load runs far above it; keeping its high-water buffers would pin
+// a copy of the load per buffer for the life of the plan.
+const maxRetained = 1 << 14
+
+// retain returns b, holding one round's differences, emptied for reuse.
+// A buffer grown past maxRetained is kept only while its rounds stay that
+// large: the first round that fits under the bound releases it, so
+// pipelines whose every round is large keep reusing their buffers.
+func retain[T comparable](b []incremental.Delta[T]) []incremental.Delta[T] {
+	if cap(b) > maxRetained && len(b) <= maxRetained {
+		return nil
+	}
+	return b[:0]
+}
+
 // routed is the hash-exchange scratch of one stateful-operator input: the
 // current round's differences bucketed by owning shard. Partitioning is
 // itself parallel — each worker buckets one contiguous chunk — and every
 // bucket slice is reused across rounds, so steady-state exchange
-// allocates nothing.
+// allocates nothing. On a one-shard engine every difference belongs to
+// shard 0, so routing aliases the pending batches without copying.
 type routed[T comparable] struct {
+	e      *Engine
+	shard  func(T) int                // owning shard of a difference's record
 	chunks [][]incremental.Delta[T]   // contiguous slices of this round's input
 	parts  [][][]incremental.Delta[T] // [chunk][shard] buckets
+	bucket func(i int)                // forN body partitioning chunk i, built once
 }
 
-// route partitions the round's pending batches by owning shard.
-func (r *routed[T]) route(e *Engine, batches [][]incremental.Delta[T], total int, shard func(T) int) {
-	r.chunks = splitChunks(batches, total, e.shards, r.chunks[:0])
-	for len(r.parts) < len(r.chunks) {
-		r.parts = append(r.parts, make([][]incremental.Delta[T], e.shards))
-	}
-	e.forN(total, len(r.chunks), func(i int) {
+// init binds the exchange to its engine and shard function. It must be
+// called on the routed value in its final location (the bucketing
+// closure captures its address).
+func (r *routed[T]) init(e *Engine, shard func(T) int) {
+	r.e, r.shard = e, shard
+	r.bucket = func(i int) {
 		buckets := r.parts[i]
 		for s := range buckets {
 			buckets[s] = buckets[s][:0]
 		}
 		for _, d := range r.chunks[i] {
-			s := shard(d.Record)
+			s := r.shard(d.Record)
 			buckets[s] = append(buckets[s], d)
 		}
-	})
+	}
+}
+
+// route partitions the round's pending batches by owning shard.
+func (r *routed[T]) route(batches [][]incremental.Delta[T], total int) {
+	if r.e.shards == 1 {
+		r.chunks = append(r.chunks[:0], batches...)
+		for len(r.parts) < len(r.chunks) {
+			r.parts = append(r.parts, make([][]incremental.Delta[T], 1))
+		}
+		for i, c := range r.chunks {
+			r.parts[i][0] = c
+		}
+		return
+	}
+	r.chunks = splitChunks(batches, total, r.e.shards, r.chunks[:0])
+	for len(r.parts) < len(r.chunks) {
+		r.parts = append(r.parts, make([][]incremental.Delta[T], r.e.shards))
+	}
+	r.e.forN(total, len(r.chunks), r.bucket)
+}
+
+// done ends the round: it drops the references to the upstream batches
+// and lets retain release buckets grown by an earlier bulk round.
+func (r *routed[T]) done() {
+	clear(r.chunks)
+	for i := range r.chunks {
+		for s, b := range r.parts[i] {
+			if r.e.shards == 1 {
+				r.parts[i][s] = nil
+			} else {
+				r.parts[i][s] = retain(b)
+			}
+		}
+	}
 }
 
 // gather appends shard s's routed differences to dst in arrival order and

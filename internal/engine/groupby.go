@@ -16,7 +16,7 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	feeds []shardFeed[T]
 	subs  []*incremental.GroupByNode[T, K, R]
 	out   *outBuffers[weighted.Grouped[K, R]]
-	key   func(T) K
+	apply func(s int) // per-shard round body, built once
 	gate  txnGate
 }
 
@@ -43,13 +43,17 @@ func GroupBy[T comparable, K comparable, R comparable](
 		feeds:  make([]shardFeed[T], e.shards),
 		subs:   make([]*incremental.GroupByNode[T, K, R], e.shards),
 		out:    newOutBuffers[weighted.Grouped[K, R]](e.shards),
-		key:    key,
 	}
 	for s := range n.subs {
 		in := incremental.NewInput[T]()
 		n.feeds[s].in = in
 		n.subs[s] = incremental.GroupBy(in, key, reduce)
 		n.subs[s].Subscribe(n.out.handler(s))
+	}
+	n.r.init(e, func(x T) int { return shardOf(e, key(x)) })
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.feeds[s].flush(&n.r, s)
 	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)
@@ -71,10 +75,8 @@ func (n *GroupByNode[T, K, R]) process() {
 	if total == 0 {
 		return
 	}
-	n.r.route(n.e, batches, total, func(x T) int { return shardOf(n.e, n.key(x)) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.feeds[s].flush(&n.r, s)
-	})
-	n.emit(n.out.outs)
+	n.r.route(batches, total)
+	n.e.forShards(total, n.apply)
+	n.r.done()
+	n.out.emit(&n.Stream)
 }

@@ -22,9 +22,8 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	subs []*incremental.JoinNode[A, B, K, R]
 	out  *outBuffers[R]
 
-	keyA func(A) K
-	keyB func(B) K
-	gate txnGate
+	apply func(s int) // per-shard round body, built once
+	gate  txnGate
 }
 
 // onTxn fans a transaction event into every shard's sub-node — through
@@ -54,14 +53,19 @@ func Join[A, B comparable, K comparable, R comparable](
 		fb:     make([]shardFeed[B], e.shards),
 		subs:   make([]*incremental.JoinNode[A, B, K, R], e.shards),
 		out:    newOutBuffers[R](e.shards),
-		keyA:   keyA,
-		keyB:   keyB,
 	}
 	for s := range n.subs {
 		ia, ib := incremental.NewInput[A](), incremental.NewInput[B]()
 		n.fa[s].in, n.fb[s].in = ia, ib
 		n.subs[s] = incremental.Join(ia, ib, keyA, keyB, reduce)
 		n.subs[s].Subscribe(n.out.handler(s))
+	}
+	n.ra.init(e, func(x A) int { return shardOf(e, keyA(x)) })
+	n.rb.init(e, func(y B) int { return shardOf(e, keyB(y)) })
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.fa[s].flush(&n.ra, s)
+		n.fb[s].flush(&n.rb, s)
 	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)
@@ -114,12 +118,10 @@ func (n *JoinNode[A, B, K, R]) process() {
 	if total == 0 {
 		return
 	}
-	n.ra.route(n.e, ba, ta, func(x A) int { return shardOf(n.e, n.keyA(x)) })
-	n.rb.route(n.e, bb, tb, func(y B) int { return shardOf(n.e, n.keyB(y)) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.fa[s].flush(&n.ra, s)
-		n.fb[s].flush(&n.rb, s)
-	})
-	n.emit(n.out.outs)
+	n.ra.route(ba, ta)
+	n.rb.route(bb, tb)
+	n.e.forShards(total, n.apply)
+	n.ra.done()
+	n.rb.done()
+	n.out.emit(&n.Stream)
 }

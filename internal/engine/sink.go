@@ -16,6 +16,7 @@ type Collector[T comparable] struct {
 	in     *port[T]
 	r      routed[T]
 	shards []*weighted.Dataset[T]
+	apply  func(s int) // per-shard round body, built once
 
 	// Transaction state, sharded like the data so speculative rounds log
 	// pre-images without cross-shard races.
@@ -34,6 +35,17 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 	for s := range c.shards {
 		c.shards[s] = weighted.New[T]()
 	}
+	c.r.init(e, func(x T) int { return shardOf(e, x) })
+	c.apply = func(s int) {
+		data := c.shards[s]
+		logging := c.gate.Active()
+		c.r.each(s, func(d incremental.Delta[T]) {
+			if logging {
+				c.txns[s].Observe(d.Record, data)
+			}
+			data.Add(d.Record, d.Weight)
+		})
+	}
 	src.SubscribeTxn(c.onTxn)
 	e.register(c)
 	return c
@@ -44,17 +56,9 @@ func (c *Collector[T]) process() {
 	if total == 0 {
 		return
 	}
-	c.r.route(c.e, batches, total, func(x T) int { return shardOf(c.e, x) })
-	logging := c.gate.Active()
-	c.e.forShards(total, func(s int) {
-		data := c.shards[s]
-		c.r.each(s, func(d incremental.Delta[T]) {
-			if logging {
-				c.txns[s].Observe(d.Record, data)
-			}
-			data.Add(d.Record, d.Weight)
-		})
-	})
+	c.r.route(batches, total)
+	c.e.forShards(total, c.apply)
+	c.r.done()
 }
 
 // onTxn applies a transaction event to every shard's dataset. Collectors

@@ -26,11 +26,21 @@ type shardFeed[T comparable] struct {
 }
 
 // flush pushes shard s's routed differences, if any, into the sub-node.
+// A round routed as one chunk pushes its bucket as is; otherwise the
+// buckets are gathered into one contiguous batch first.
 func (f *shardFeed[T]) flush(r *routed[T], s int) {
+	if len(r.chunks) == 1 {
+		if b := r.parts[0][s]; len(b) > 0 {
+			f.in.Push(b)
+		}
+		f.batch = retain(f.batch[:0])
+		return
+	}
 	f.batch = r.gather(s, f.batch[:0])
 	if len(f.batch) > 0 {
 		f.in.Push(f.batch)
 	}
+	f.batch = retain(f.batch)
 }
 
 // outBuffers builds the per-shard output accumulators and returns the
@@ -50,6 +60,16 @@ func (o *outBuffers[U]) handler(s int) incremental.Handler[U] {
 
 func (o *outBuffers[U]) reset(s int) { o.outs[s] = o.outs[s][:0] }
 
+// emit broadcasts the round's per-shard outputs through st, then lets
+// retain release buffers grown by an earlier bulk round (downstream
+// ports keep the emitted slices alive until they drain them).
+func (o *outBuffers[U]) emit(st *Stream[U]) {
+	st.emit(o.outs)
+	for s, b := range o.outs {
+		o.outs[s] = retain(b)
+	}
+}
+
 // ShaveNode is the output of Shave: a record-partitioned sharding of
 // incremental.ShaveNode.
 type ShaveNode[T comparable] struct {
@@ -59,6 +79,7 @@ type ShaveNode[T comparable] struct {
 	feeds []shardFeed[T]
 	subs  []*incremental.ShaveNode[T]
 	out   *outBuffers[weighted.Indexed[T]]
+	apply func(s int) // per-shard round body, built once
 	gate  txnGate
 }
 
@@ -90,6 +111,11 @@ func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T
 		n.subs[s] = incremental.Shave[T](in, f)
 		n.subs[s].Subscribe(n.out.handler(s))
 	}
+	n.r.init(e, func(x T) int { return shardOf(e, x) })
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.feeds[s].flush(&n.r, s)
+	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)
 	return n
@@ -114,12 +140,10 @@ func (n *ShaveNode[T]) process() {
 	if total == 0 {
 		return
 	}
-	n.r.route(n.e, batches, total, func(x T) int { return shardOf(n.e, x) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.feeds[s].flush(&n.r, s)
-	})
-	n.emit(n.out.outs)
+	n.r.route(batches, total)
+	n.e.forShards(total, n.apply)
+	n.r.done()
+	n.out.emit(&n.Stream)
 }
 
 // MinMaxNode is the output of Union or Intersect: a record-partitioned
@@ -131,6 +155,7 @@ type MinMaxNode[T comparable] struct {
 	fa, fb []shardFeed[T]
 	subs   []*incremental.MinMaxNode[T]
 	out    *outBuffers[T]
+	apply  func(s int) // per-shard round body, built once
 	gate   txnGate
 }
 
@@ -173,6 +198,14 @@ func minMaxNode[T comparable](a, b Source[T],
 		n.subs[s] = build(ia, ib)
 		n.subs[s].Subscribe(n.out.handler(s))
 	}
+	shard := func(x T) int { return shardOf(e, x) }
+	n.ra.init(e, shard)
+	n.rb.init(e, shard)
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.fa[s].flush(&n.ra, s)
+		n.fb[s].flush(&n.rb, s)
+	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)
 	e.register(n)
@@ -196,13 +229,10 @@ func (n *MinMaxNode[T]) process() {
 	if total == 0 {
 		return
 	}
-	shard := func(x T) int { return shardOf(n.e, x) }
-	n.ra.route(n.e, ba, ta, shard)
-	n.rb.route(n.e, bb, tb, shard)
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.fa[s].flush(&n.ra, s)
-		n.fb[s].flush(&n.rb, s)
-	})
-	n.emit(n.out.outs)
+	n.ra.route(ba, ta)
+	n.rb.route(bb, tb)
+	n.e.forShards(total, n.apply)
+	n.ra.done()
+	n.rb.done()
+	n.out.emit(&n.Stream)
 }

@@ -39,6 +39,7 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 	n := &Node[U]{Stream: Stream[U]{e: e}}
 	var chunks [][]incremental.Delta[T]
 	var outs [][]incremental.Delta[U]
+	apply := func(i int) { outs[i] = transform(chunks[i], outs[i][:0]) }
 	n.run = func() {
 		batches, total := in.drain()
 		if total == 0 {
@@ -48,10 +49,12 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 		for len(outs) < len(chunks) {
 			outs = append(outs, nil)
 		}
-		e.forN(total, len(chunks), func(i int) {
-			outs[i] = transform(chunks[i], outs[i][:0])
-		})
+		e.forN(total, len(chunks), apply)
 		n.emit(outs[:len(chunks)])
+		clear(chunks)
+		for i, b := range outs {
+			outs[i] = retain(b)
+		}
 	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)
@@ -128,6 +131,13 @@ func Except[T comparable](a, b Source[T]) *Node[T] {
 	n := &Node[T]{Stream: Stream[T]{e: e}}
 	var chunks [][]incremental.Delta[T]
 	var outs [][]incremental.Delta[T]
+	negate := func(i int) {
+		out := outs[i][:0]
+		for _, d := range chunks[i] {
+			out = append(out, incremental.Delta[T]{Record: d.Record, Weight: -d.Weight})
+		}
+		outs[i] = out
+	}
 	n.run = func() {
 		ba, _ := pa.drain()
 		n.emit(ba)
@@ -139,14 +149,12 @@ func Except[T comparable](a, b Source[T]) *Node[T] {
 		for len(outs) < len(chunks) {
 			outs = append(outs, nil)
 		}
-		e.forN(total, len(chunks), func(i int) {
-			out := outs[i][:0]
-			for _, d := range chunks[i] {
-				out = append(out, incremental.Delta[T]{Record: d.Record, Weight: -d.Weight})
-			}
-			outs[i] = out
-		})
+		e.forN(total, len(chunks), negate)
 		n.emit(outs[:len(chunks)])
+		clear(chunks)
+		for i, b := range outs {
+			outs[i] = retain(b)
+		}
 	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)

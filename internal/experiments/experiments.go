@@ -47,10 +47,9 @@ type Options struct {
 	Samples int
 	// Repeats is the number of repetitions for error bars (Figure 5).
 	Repeats int
-	// Shards selects the dataflow executor for every MCMC fit: 0 runs
-	// the sharded engine with one shard per CPU, n > 0 pins the shard
-	// count, -1 selects the single-threaded reference engine (see
-	// synth.Config.Shards).
+	// Shards selects the executor layout for every MCMC fit: 0 runs
+	// one shard per CPU, n > 0 pins the shard count, -1 runs one shard
+	// inline (see synth.Config.Shards).
 	Shards int
 	// Chains runs every synthesis fit as this many replica-exchange
 	// chains at a geometric pow ladder (see synth.Config.Chains; 0 or 1
@@ -476,20 +475,13 @@ func Fig6(o Options) error {
 	return nil
 }
 
-// tbiLoadAndRate builds a TbI pipeline over g on the executor selected by
-// o.Shards, reports the live heap after loading and the sustained MCMC
-// step rate.
+// tbiLoadAndRate builds a TbI pipeline over g on the executor layout
+// selected by o.Shards, reports the live heap after loading and the
+// sustained MCMC step rate.
 func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (heapMB, stepsPerSec float64, err error) {
 	before := expt.HeapMB()
-	var in mcmc.Input
-	var stream incremental.Source[queries.Unit]
-	if o.Shards < 0 {
-		serialIn := queries.NewEdgeInput()
-		in, stream = serialIn, queries.TbIPipeline(serialIn)
-	} else {
-		engineIn := queries.NewEngineEdgeInput(engine.New(o.Shards))
-		in, stream = engineIn, queries.EngineTbIPipeline(engineIn)
-	}
+	in := engine.NewInput[graph.Edge](engine.New(o.Shards))
+	stream := queries.TbIPipeline(nil, in)
 	// Score against the graph's own (noiseless) signal: Figure 6 measures
 	// systems behaviour, not accuracy.
 	noise, err := laplace.FromEpsilon(o.Eps)

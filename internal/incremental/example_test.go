@@ -8,26 +8,20 @@ import (
 
 func Example() {
 	// Build a dataflow graph once; then push differences through it.
-	in := incremental.NewInput[string]()
-	lengths := incremental.Select(in, func(s string) int { return len(s) })
-	longOnes := incremental.Where[int](lengths, func(n int) bool { return n >= 5 })
-	out := incremental.Collect[int](longOnes)
+	// Intersect keeps each record at the smaller of its two weights.
+	a, b := incremental.NewInput[string](), incremental.NewInput[string]()
+	both := incremental.Collect[string](incremental.Intersect[string](a, b))
 
-	in.Push([]incremental.Delta[string]{
-		{Record: "apple", Weight: 1},
-		{Record: "fig", Weight: 1},
-		{Record: "banana", Weight: 2},
-	})
-	fmt.Println("len-5 weight:", out.Weight(5))
-	fmt.Println("len-6 weight:", out.Weight(6))
+	a.Push([]incremental.Delta[string]{{Record: "apple", Weight: 2}, {Record: "fig", Weight: 1}})
+	b.Push([]incremental.Delta[string]{{Record: "apple", Weight: 1}, {Record: "fig", Weight: 3}})
+	fmt.Println("apple:", both.Weight("apple"), "fig:", both.Weight("fig"))
 
-	// Retract one banana: only the difference propagates.
-	in.Push([]incremental.Delta[string]{{Record: "banana", Weight: -1}})
-	fmt.Println("len-6 after retraction:", out.Weight(6))
+	// Add to one side: only the difference propagates.
+	b.Push([]incremental.Delta[string]{{Record: "apple", Weight: 2}})
+	fmt.Println("apple after:", both.Weight("apple"))
 	// Output:
-	// len-5 weight: 1
-	// len-6 weight: 2
-	// len-6 after retraction: 1
+	// apple: 1 fig: 1
+	// apple after: 2
 }
 
 func ExampleNewNoisyCountSink() {

@@ -1,25 +1,26 @@
-// Package incremental implements wPINQ's incremental query evaluation
-// engine (paper Section 4.3 and Appendix B).
+// Package incremental implements wPINQ's incremental operator kernels
+// (paper Section 4.3 and Appendix B) and the scoring sinks that consume
+// their output.
 //
-// Queries are built once as a dataflow graph of operator nodes. Input
-// changes are pushed as batches of weighted differences (Delta values);
-// each operator maintains whatever indexed state it needs to translate
-// input differences into output differences, so re-evaluating a query after
-// a small change (one MCMC step) costs only the propagation of the change,
-// not a from-scratch evaluation.
+// A kernel is one stateful operator — Join (with its norm-unchanged fast
+// path), GroupBy, Shave, Union/Intersect — that maintains the indexed
+// state it needs to translate input weight differences (Delta values)
+// into output differences, so re-evaluating a query after a small change
+// (one MCMC step) costs only the propagation of the change, not a
+// from-scratch evaluation. Kernels are single-threaded and fed through a
+// private Input; wpinq/internal/engine instantiates one kernel per shard
+// of every stateful operator and does all routing, batching and
+// scheduling between them. Pipelines are built on the engine; this
+// package holds no multi-hop dataflow of its own.
 //
-// Every operator implements exactly the semantics of the corresponding
+// Every kernel implements exactly the semantics of the corresponding
 // reference transformation in wpinq/internal/weighted; the equivalence is
-// enforced by property tests that drive both engines with random update
+// enforced by property tests that drive both with random update
 // sequences.
 //
-// The engine is single-threaded: pushes are synchronous and nodes must not
-// be shared across goroutines without external synchronization. This
-// mirrors the MCMC loop, which is inherently sequential. For parallel
-// execution, wpinq/internal/engine shards this package's operators by
-// record (or key) hash and exchanges differences between shards; its
-// streams remain Sources in this package's sense, so the sinks below
-// terminate pipelines on either engine.
+// The terminal consumers — Collect, NewNoisyCountSink and the Scorer that
+// aggregates sinks — attach to any Source, including every engine
+// stream.
 //
 // Pushes may be transactional: Input.Begin marks subsequent pushes
 // speculative (stateful nodes log pre-images of overwritten state), and

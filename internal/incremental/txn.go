@@ -192,8 +192,8 @@ type touchedGroup[K comparable, T comparable] struct {
 	created bool
 }
 
-// CollectorUndo is the first-touch undo log shared by both executors'
-// materializing collectors: Observe records a record's pre-transaction
+// CollectorUndo is the first-touch undo log shared by the materializing
+// collectors (Collector here, engine.Collector per shard): Observe records a record's pre-transaction
 // weight once (before the collector overwrites it), Abort restores the
 // dataset from the log, and Reset clears the log at commit. The sharded
 // executor keeps one per state shard so speculative rounds log without

@@ -5,11 +5,10 @@ import (
 
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
-	"wpinq/internal/queries"
 )
 
 func TestPowScheduleValidation(t *testing.T) {
-	in := queries.NewEdgeInput()
+	in := newEdgeInput()
 	s := NewGraphState(ringGraph(8), in)
 	// PowSchedule alone (Pow zero) must be accepted.
 	sched := func(step int) float64 { return 1 + float64(step) }

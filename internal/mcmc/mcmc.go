@@ -17,7 +17,7 @@
 // must be negative for the posterior to concentrate on good fits, matching
 // the Laplace likelihood. See DESIGN.md "Known deviations".)
 //
-// Scoring is transactional on both executors: each proposal's edge
+// Scoring is transactional on every executor layout: each proposal's edge
 // differences propagate exactly once, speculatively, and a rejection
 // restores the dataflow's pre-proposal state from per-operator undo
 // logs instead of propagating the inverse swap a second time (DESIGN.md
@@ -37,10 +37,10 @@ import (
 
 // Input is the dataflow entry point the sampler drives: it accepts the
 // edge differences of a proposed swap and propagates them synchronously
-// to every subscribed pipeline. Both the serial reference engine's
-// *incremental.Input[graph.Edge] and the sharded parallel executor's
-// *engine.Input[graph.Edge] satisfy it, so the sampler is agnostic to
-// which engine scores proposals.
+// to every subscribed pipeline. The dataflow executor's
+// *engine.Input[graph.Edge] satisfies it, as does a bare
+// *incremental.Input[graph.Edge], so the sampler is agnostic to what
+// scores proposals.
 type Input interface {
 	Push(batch []incremental.Delta[graph.Edge])
 	PushDataset(d *weighted.Dataset[graph.Edge])
@@ -50,11 +50,10 @@ type Input interface {
 // pushes (see incremental.TxnOp): a proposal's edge differences are
 // propagated once, speculatively, and a rejection restores every
 // stateful operator's pre-image from undo logs in O(touched keys)
-// instead of propagating the inverse differences a second time. Both
-// executors' inputs (*incremental.Input[graph.Edge] and
-// *engine.Input[graph.Edge]) satisfy it, so the sampler uses the
-// protocol automatically; a plain Input falls back to inverse-push
-// rejection.
+// instead of propagating the inverse differences a second time. The
+// executor's input (*engine.Input[graph.Edge]) satisfies it, so the
+// sampler uses the protocol automatically; a plain Input falls back to
+// inverse-push rejection.
 type TxnInput interface {
 	Input
 	// Begin opens a transaction; subsequent pushes are speculative.
@@ -75,8 +74,8 @@ type GraphState struct {
 	txn   TxnInput // input's transactional view, nil when unsupported
 
 	// swapBatch is the reusable eight-delta proposal batch. Push consumes
-	// the slice synchronously (the serial executor propagates before
-	// returning; the engine drains its round inside Push), so reusing it
+	// the slice synchronously (the engine drains its round inside
+	// Push), so reusing it
 	// across proposals is safe and keeps Apply allocation-free.
 	swapBatch []incremental.Delta[graph.Edge]
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/queries"
@@ -11,6 +12,12 @@ import (
 )
 
 func testRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// newEdgeInput returns a fresh edge-difference input on a one-shard
+// executor.
+func newEdgeInput() *engine.Input[graph.Edge] {
+	return engine.NewInput[graph.Edge](engine.New(1))
+}
 
 func ringGraph(n int) *graph.Graph {
 	g := graph.New()
@@ -26,7 +33,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := queries.NewEdgeInput()
+	in := newEdgeInput()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	degreesBefore := s.Graph().Degrees()
@@ -62,7 +69,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 func TestGraphStateApplyRevert(t *testing.T) {
 	rng := testRng(2)
 	g := ringGraph(12)
-	in := queries.NewEdgeInput()
+	in := newEdgeInput()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	before := coll.Snapshot()
@@ -93,7 +100,7 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 0)
-	in := queries.NewEdgeInput()
+	in := newEdgeInput()
 	s := NewGraphState(g, in)
 	rng := testRng(3)
 	for i := 0; i < 200; i++ {
@@ -104,14 +111,14 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	// A single edge cannot swap either.
 	one := graph.New()
 	one.AddEdge(0, 1)
-	s2 := NewGraphState(one, queries.NewEdgeInput())
+	s2 := NewGraphState(one, newEdgeInput())
 	if _, ok := s2.Propose(rng); ok {
 		t.Error("single edge should admit no swap")
 	}
 }
 
 func TestRunnerValidation(t *testing.T) {
-	in := queries.NewEdgeInput()
+	in := newEdgeInput()
 	s := NewGraphState(ringGraph(8), in)
 	sc := incremental.NewScorer()
 	if _, err := NewRunner(nil, sc, Config{Pow: 1}, testRng(4)); err == nil {
@@ -128,8 +135,8 @@ func TestRunnerValidation(t *testing.T) {
 // buildTbIFixture wires a TbI pipeline and returns (state, scorer) fitting
 // the given observed triangle signal.
 func buildTbIFixture(g *graph.Graph, observed float64, eps float64) (*GraphState, *incremental.Scorer) {
-	in := queries.NewEdgeInput()
-	stream := queries.TbIPipeline(in)
+	in := newEdgeInput()
+	stream := queries.TbIPipeline(nil, in)
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		stream,
 		incremental.MapObservations[queries.Unit]{{}: observed},

@@ -58,44 +58,30 @@ type txnFixture struct {
 
 // buildTxnFixture wires a three-sink fit — triangle count (TbI), degree
 // sequence, and the joint degree distribution against lazily-drawn
-// observations — on the selected executor. shards < 0 selects the serial
-// reference engine; wrapPlain hides the transactional protocol. cutoff
-// only applies to the sharded executor (0 forces parallel dispatch).
+// observations — on an executor with the given shard layout (-1 is the
+// one inline shard, like 1); wrapPlain hides the transactional protocol.
+// cutoff 0 forces parallel dispatch on multi-shard layouts.
 func buildTxnFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, obsSeed int64) txnFixture {
-	var (
-		input   Input
-		counter pushCounter
-		sink1   *incremental.NoisyCountSink[queries.Unit]
-		sink2   *incremental.NoisyCountSink[int]
-		sink3   *incremental.NoisyCountSink[queries.DegPair]
-	)
+	return buildFixture(g, shards, cutoff, wrapPlain, newLazyObs[queries.DegPair](obsSeed))
+}
+
+func buildFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, jddObs incremental.Observations[queries.DegPair]) txnFixture {
+	e := engine.New(shards)
+	e.SetSerialCutoff(cutoff)
+	in := engine.NewInput[graph.Edge](e)
 	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
-	if shards < 0 {
-		in := queries.NewEdgeInput()
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.TbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.JDDPipeline(in), newLazyObs[queries.DegPair](obsSeed), nil, 0.4)
-		input, counter = in, in
-	} else {
-		e := engine.New(shards)
-		e.SetSerialCutoff(cutoff)
-		in := queries.NewEngineEdgeInput(e)
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.EngineTbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.EngineDegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.EngineJDDPipeline(in), newLazyObs[queries.DegPair](obsSeed), nil, 0.4)
-		input, counter = in, in
-	}
+	sink1 := incremental.NewNoisyCountSink[queries.Unit](
+		queries.TbIPipeline(nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
+	sink2 := incremental.NewNoisyCountSink[int](
+		queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
+	sink3 := incremental.NewNoisyCountSink[queries.DegPair](
+		queries.JDDPipeline(nil, in), jddObs, nil, 0.4)
+	var input Input = in
 	if wrapPlain {
 		input = plainInput{input}
 	}
 	state := NewGraphState(g, input)
-	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: counter}
+	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: in}
 }
 
 // stepTrace is one observed walk step.
@@ -120,7 +106,7 @@ func runTraced(t *testing.T, f txnFixture, pow float64, rngSeed int64, n int) (S
 // TestTxnTraceMatchesInversePushPath pins the protocol swap end to end:
 // for a fixed seed, the transactional walk's accept/reject decisions and
 // final edge list are byte-identical to the pre-transactional
-// inverse-push walk, on the serial engine and on sharded executors.
+// inverse-push walk, on one-shard and multi-shard layouts.
 // (Scores are not compared bitwise: the inverse-push path re-derives
 // state arithmetically and its scalar accumulators can drift by ~1e-15
 // on rare rejects, which is exactly the imprecision the undo log
@@ -232,8 +218,8 @@ func TestTxnRejectCostsOnePropagation(t *testing.T) {
 // the graph, every operator's state, the sinks' L1 accumulators, and the
 // score bit-identical to a twin that applied only the committed swaps —
 // and equal, to float-accumulation tolerance, to a fresh pipeline
-// bulk-loaded with the final edge list. Runs across the serial engine
-// and sharded executors (including a cutoff-0 layout so -race exercises
+// bulk-loaded with the final edge list. Runs across one-shard and
+// multi-shard layouts (including a cutoff-0 layout so -race exercises
 // speculative rounds under parallel dispatch).
 func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 	for _, cfg := range []struct {
@@ -313,38 +299,7 @@ func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 // up front (no lazy noise), for tests that replay subsets of a proposal
 // sequence.
 func buildFixedObsFixture(g *graph.Graph, shards, cutoff int) txnFixture {
-	var (
-		input   Input
-		counter pushCounter
-		sink1   *incremental.NoisyCountSink[queries.Unit]
-		sink2   *incremental.NoisyCountSink[int]
-		sink3   *incremental.NoisyCountSink[queries.DegPair]
-	)
-	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
-	jddTargets := incremental.MapObservations[queries.DegPair]{}
-	if shards < 0 {
-		in := queries.NewEdgeInput()
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.TbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.JDDPipeline(in), jddTargets, nil, 0.4)
-		input, counter = in, in
-	} else {
-		e := engine.New(shards)
-		e.SetSerialCutoff(cutoff)
-		in := queries.NewEngineEdgeInput(e)
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.EngineTbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.EngineDegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.EngineJDDPipeline(in), jddTargets, nil, 0.4)
-		input, counter = in, in
-	}
-	state := NewGraphState(g, input)
-	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: counter}
+	return buildFixture(g, shards, cutoff, false, incremental.MapObservations[queries.DegPair]{})
 }
 
 // TestTxnAbortRestoresScoreExactly drives the sampler's own rejection

@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"strings"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
-	"wpinq/internal/weighted"
 )
 
-// Fused pipeline builders over the serial incremental executor: the same
-// dataflow shapes as pipelines.go, but every reusable fragment (the
+// The fit workloads' pipeline builders. Every reusable fragment (the
 // length-two-path join, the degree GroupBy, the path-degree join, motif
 // embedding chains) is requested through a plan.Memo, so pipelines built
 // on the same memo share their common prefixes — one fused DAG with
-// fan-out at the divergence points instead of N private copies. With a
-// non-fusing memo the builders construct the exact operator graphs of
-// the plain builders, in the same order, which is what makes fused and
-// unfused plans differentially comparable.
+// fan-out at the divergence points instead of N private copies. A
+// non-fusing memo (plan.New(false)) builds every request privately, the
+// differential baseline; a nil memo builds privately without accounting.
 //
 // Fragment keys canonicalize every parameter that changes the operator
 // subgraph (bucket width, pattern shape); two requests share a fragment
@@ -34,8 +31,7 @@ func fusedBucket(bucket int) int {
 	return 1
 }
 
-// Fragment key constructors, shared by the serial and engine fused
-// builders so the two executors produce structurally identical DAGs.
+// Fragment key constructors.
 func pathsKey() string             { return "paths" }
 func degreesKey(bucket int) string { return fmt.Sprintf("degrees/b=%d", fusedBucket(bucket)) }
 func pathDegKey(bucket int) string { return fmt.Sprintf("pathdeg/b=%d", fusedBucket(bucket)) }
@@ -58,169 +54,135 @@ func (p Pattern) fragmentKey() string {
 	return b.String()
 }
 
-// FusedPathsPipeline is PathsPipeline requested through the memo.
-func FusedPathsPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Path] {
+// Fragments carry the packed interior encodings (packed.go) across
+// their boundaries, so a consumer joins a shared fragment without a
+// decode-and-re-encode pass; only the workloads' outputs are decoded
+// record types.
+
+// pathsFragment is the shared length-two-path fragment.
+func pathsFragment(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[PPath] {
 	n := plan.Node{Key: pathsKey(), Op: "join(edges,edges)+where(a!=c)", Inputs: []string{"edges"}}
-	return plan.Shared(m, n, func() incremental.Source[Path] {
-		s := PathsPipeline(edges)
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[PPath] {
+		s := pathsCore(packEdges(edges))
+		plan.Count[PPath](m, s)
 		return s
 	})
 }
 
-// FusedDegreesPipeline is DegreesPipeline requested through the memo.
-func FusedDegreesPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[weighted.Grouped[graph.Node, int]] {
+// degreesFragment is the shared (bucketed) degree fragment.
+func degreesFragment(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[PDeg] {
 	n := plan.Node{Key: degreesKey(bucket), Op: "groupby(src,deg)", Inputs: []string{"edges"}}
-	return plan.Shared(m, n, func() incremental.Source[weighted.Grouped[graph.Node, int]] {
-		s := DegreesPipeline(edges, bucket)
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[PDeg] {
+		s := degreesCore(packEdges(edges), bucket)
+		plan.Count[PDeg](m, s)
 		return s
 	})
 }
 
-// FusedPathDegPipeline is the paths-with-center-degree join (TbD's and
-// SbD's "abc" prefix) requested through the memo. Fragments exchange
-// decoded records at their boundaries (keeping keys, output types, and
-// DAG shape identical to the unpacked plan); the body re-packs its two
-// inputs and runs the join on packed keys.
-func FusedPathDegPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[PathDeg] {
-	paths := FusedPathsPipeline(m, edges)
-	degs := FusedDegreesPipeline(m, edges, bucket)
+// pathDegFragment joins the shared paths with the shared degrees.
+func pathDegFragment(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[PPathDeg] {
+	paths := pathsFragment(m, edges)
+	degs := degreesFragment(m, edges, bucket)
 	n := plan.Node{Key: pathDegKey(bucket), Op: "join(paths,degrees)", Inputs: []string{pathsKey(), degreesKey(bucket)}}
-	return plan.Shared(m, n, func() incremental.Source[PathDeg] {
-		pp := incremental.Select(paths, packPath)
-		pd := incremental.Select(degs, func(d weighted.Grouped[graph.Node, int]) PDeg {
-			return packedDeg(packNode(d.Key), d.Result)
-		})
-		s := incremental.Select(pathDegCore(pp, pd), PPathDeg.unpack)
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[PPathDeg] {
+		s := pathDegCore(paths, degs)
+		plan.Count[PPathDeg](m, s)
 		return s
 	})
 }
 
-// FusedTbIPipeline is TbIPipeline with its paths prefix requested
-// through the memo; the rotate/intersect suffix is tbi's own branch.
-func FusedTbIPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	paths := FusedPathsPipeline(m, edges)
+// TbIPipeline is the incremental form of TbI.
+func TbIPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[Unit] {
+	paths := pathsFragment(m, edges)
 	n := plan.Node{Key: "tbi", Op: "rotate+intersect+unit", Inputs: []string{pathsKey()}}
-	return plan.Shared(m, n, func() incremental.Source[Unit] {
-		s := tbiCore(incremental.Select(paths, packPath))
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[Unit] {
+		s := tbiCore(paths)
+		plan.Count[Unit](m, s)
 		return s
 	})
 }
 
-// FusedTbDPipeline is TbDPipeline with the paths, degrees, and
-// path-degree prefixes requested through the memo.
-func FusedTbDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[DegTriple] {
-	abc := FusedPathDegPipeline(m, edges, bucket)
+// TbDPipeline is the incremental form of TbD.
+func TbDPipeline(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[DegTriple] {
+	abc := pathDegFragment(m, edges, bucket)
 	n := plan.Node{Key: tbdKey(bucket), Op: "rotations+2joins+sorttriple", Inputs: []string{pathDegKey(bucket)}}
-	return plan.Shared(m, n, func() incremental.Source[DegTriple] {
-		packed := incremental.Select(abc, func(x PathDeg) PPathDeg {
-			return PPathDeg{P: packPath(x.Path), Deg: int32(x.Deg)}
-		})
-		s := tbdCore(packed)
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[DegTriple] {
+		s := tbdCore(abc)
+		plan.Count[DegTriple](m, s)
 		return s
 	})
 }
 
-// FusedJDDPipeline is JDDPipeline with its unbucketed-degrees prefix
-// requested through the memo.
-func FusedJDDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[DegPair] {
-	degs := FusedDegreesPipeline(m, edges, 1)
+// JDDPipeline is the incremental form of JDD.
+func JDDPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[DegPair] {
+	degs := degreesFragment(m, edges, 1)
 	n := plan.Node{Key: "jdd", Op: "join(degrees,edges)+selfjoin", Inputs: []string{degreesKey(1), "edges"}}
-	return plan.Shared(m, n, func() incremental.Source[DegPair] {
-		pd := incremental.Select(degs, func(d weighted.Grouped[graph.Node, int]) PDeg {
-			return packedDeg(packNode(d.Key), d.Result)
-		})
-		s := jddCore(pd, packEdges(edges))
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[DegPair] {
+		s := jddCore(degs, packEdges(edges))
+		plan.Count[DegPair](m, s)
 		return s
 	})
 }
 
-// FusedWedgeCountPipeline is WedgeCountPipeline with its paths prefix
-// requested through the memo.
-func FusedWedgeCountPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	paths := FusedPathsPipeline(m, edges)
+// WedgeCountPipeline is the incremental form of WedgeCount. Cost model:
+// 2 uses of the edge input.
+func WedgeCountPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[Unit] {
+	paths := pathsFragment(m, edges)
 	n := plan.Node{Key: "wedges", Op: "unit", Inputs: []string{pathsKey()}}
-	return plan.Shared(m, n, func() incremental.Source[Unit] {
-		s := incremental.Select(paths, func(Path) Unit { return Unit{} })
-		plan.Count(m, s)
+	return plan.Shared(m, n, func() engine.Source[Unit] {
+		s := engine.Select(paths, func(PPath) Unit { return Unit{} })
+		plan.Count[Unit](m, s)
 		return s
 	})
 }
 
-// fusedEmbeddings requests the pattern's compiled embedding chain
-// through the memo: two motif workloads over the same pattern share the
-// whole chain.
-func fusedEmbeddings(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Embedding], error) {
+// embeddingsFragment is the shared motif-embedding fragment.
+func embeddingsFragment(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern) (engine.Source[Embedding], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := plan.Node{Key: motifEmbKey(p), Op: "embedding-joins", Inputs: []string{"edges"}}
-	return plan.Shared(m, n, func() incremental.Source[Embedding] {
-		first, steps := p.compile()
-		var emb incremental.Source[Embedding] = incremental.Select(edges, func(e graph.Edge) Embedding {
-			out := emptyEmbedding()
-			out[first[0]] = e.Src
-			out[first[1]] = e.Dst
-			return out
-		})
-		for _, s := range steps {
-			s := s
-			if s.Closing {
-				emb = incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-					func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-					func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-					func(e Embedding, _ graph.Edge) Embedding { return e })
-				continue
-			}
-			joined := incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-				func(e Embedding, ed graph.Edge) Embedding {
-					e[s.V] = ed.Dst
-					return e
-				})
-			emb = incremental.Where[Embedding](joined, injective)
+	return plan.Shared(m, n, func() engine.Source[Embedding] {
+		emb, err := embeddings(edges, p)
+		if err != nil {
+			// Validate passed above; embeddings re-validates only.
+			panic(err)
 		}
-		plan.Count(m, emb)
+		plan.Count[Embedding](m, emb)
 		return emb
 	}), nil
 }
 
-// FusedMotifByDegreePipeline is MotifByDegreePipeline with the
-// embedding chain and the degrees prefix requested through the memo.
-func FusedMotifByDegreePipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern, bucket int) (incremental.Source[DegProfile], error) {
-	emb, err := fusedEmbeddings(m, edges, p)
+// MotifByDegreePipeline is the incremental form of MotifByDegree. Cost
+// model: MotifByDegreeUses(p) uses.
+func MotifByDegreePipeline(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern, bucket int) (engine.Source[DegProfile], error) {
+	emb, err := embeddingsFragment(m, edges, p)
 	if err != nil {
 		return nil, err
 	}
-	degs := FusedDegreesPipeline(m, edges, bucket)
+	degs := degreesFragment(m, edges, bucket)
 	n := plan.Node{
 		Key:    motifDegKey(p, bucket),
 		Op:     "per-vertex degree joins+sortprofile",
 		Inputs: []string{motifEmbKey(p), degreesKey(bucket)},
 	}
-	return plan.Shared(m, n, func() incremental.Source[DegProfile] {
-		var cur incremental.Source[embDegs] = incremental.Select[Embedding, embDegs](emb,
+	return plan.Shared(m, n, func() engine.Source[DegProfile] {
+		var cur engine.Source[embDegs] = engine.Select[Embedding, embDegs](emb,
 			func(e Embedding) embDegs { return embDegs{Emb: e} })
 		for v := 0; v < p.K; v++ {
 			v := v
-			cur = incremental.Join[embDegs, weighted.Grouped[graph.Node, int], graph.Node, embDegs](cur, degs,
+			cur = engine.Join[embDegs, PDeg, graph.Node, embDegs](cur, degs,
 				func(x embDegs) graph.Node { return x.Emb[v] },
-				func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-				func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
-					x.Degs[v] = d.Result
+				func(d PDeg) graph.Node { return unpackNode(d.nodeKey()) },
+				func(x embDegs, d PDeg) embDegs {
+					x.Degs[v] = d.deg()
 					return x
 				})
 		}
 		k := p.K
-		s := incremental.Select[embDegs, DegProfile](cur,
+		s := engine.Select[embDegs, DegProfile](cur,
 			func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })
-		plan.Count(m, s)
+		plan.Count[DegProfile](m, s)
 		return s
 	}), nil
 }

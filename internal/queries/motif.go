@@ -6,7 +6,6 @@ import (
 
 	"wpinq/internal/core"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 // Motif counting (paper Section 3.5): "the approach we have taken, forming
@@ -247,39 +246,6 @@ func MotifCount(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection
 	return core.Select(emb, func(Embedding) Unit { return Unit{} }), nil
 }
 
-// MotifPipeline is the incremental mirror of MotifCount.
-func MotifPipeline(edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Unit], error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	first, steps := p.compile()
-	var emb incremental.Source[Embedding] = incremental.Select(edges, func(e graph.Edge) Embedding {
-		out := emptyEmbedding()
-		out[first[0]] = e.Src
-		out[first[1]] = e.Dst
-		return out
-	})
-	for _, s := range steps {
-		s := s
-		if s.Closing {
-			emb = incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
-			continue
-		}
-		joined := incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
-		emb = incremental.Where[Embedding](joined, func(e Embedding) bool { return injective(e) })
-	}
-	return incremental.Select[Embedding, Unit](emb, func(Embedding) Unit { return Unit{} }), nil
-}
-
 // injective reports whether all assigned slots hold distinct nodes.
 func injective(e Embedding) bool {
 	for i := 0; i < len(e); i++ {
@@ -300,9 +266,4 @@ func injective(e Embedding) bool {
 // clustering-coefficient estimate. Privacy cost: 2 eps.
 func WedgeCount(edges *core.Collection[graph.Edge]) *core.Collection[Unit] {
 	return core.Select(Paths(edges), func(Path) Unit { return Unit{} })
-}
-
-// WedgeCountPipeline mirrors WedgeCount.
-func WedgeCountPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	return incremental.Select(PathsPipeline(edges), func(Path) Unit { return Unit{} })
 }

@@ -6,8 +6,8 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 func motifWeight(t *testing.T, g *graph.Graph, p Pattern) float64 {
@@ -120,7 +120,7 @@ func TestMotifPipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, SquarePattern, PathPattern3} {
 		p := p
 		checkPipelineMatchesQuery(t, "Motif",
-			func(s incremental.Source[graph.Edge]) incremental.Source[Unit] {
+			func(s engine.Source[graph.Edge]) engine.Source[Unit] {
 				out, err := MotifPipeline(s, p)
 				if err != nil {
 					t.Fatal(err)
@@ -143,7 +143,7 @@ func TestMotifRejectsInvalidPattern(t *testing.T) {
 	if _, err := MotifCount(edges, Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifCount")
 	}
-	if _, err := MotifPipeline(NewEdgeInput(), Pattern{K: 3}); err == nil {
+	if _, err := MotifPipeline(engine.NewInput[graph.Edge](engine.New(1)), Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifPipeline")
 	}
 }
@@ -161,9 +161,7 @@ func TestWedgeCountMatchesPathNorm(t *testing.T) {
 
 func TestSbDPipelineMatchesQuery(t *testing.T) {
 	checkPipelineMatchesQuery(t, "SbD",
-		func(s incremental.Source[graph.Edge]) incremental.Source[DegQuad] { return SbDPipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[DegQuad] { return SbD(c) },
-		6)
+		SbDPipeline, SbD, 6)
 }
 
 func TestEmbeddingInjective(t *testing.T) {

@@ -3,7 +3,6 @@ package queries
 import (
 	"wpinq/internal/core"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
 )
 
@@ -103,52 +102,4 @@ func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*
 	}
 	k := p.K
 	return core.Select(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) }), nil
-}
-
-// MotifByDegreePipeline is the incremental mirror of MotifByDegree.
-func MotifByDegreePipeline(edges incremental.Source[graph.Edge], p Pattern, bucket int) (incremental.Source[DegProfile], error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	first, steps := p.compile()
-	var emb incremental.Source[Embedding] = incremental.Select(edges, func(e graph.Edge) Embedding {
-		out := emptyEmbedding()
-		out[first[0]] = e.Src
-		out[first[1]] = e.Dst
-		return out
-	})
-	for _, s := range steps {
-		s := s
-		if s.Closing {
-			emb = incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
-			continue
-		}
-		joined := incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
-		emb = incremental.Where[Embedding](joined, injective)
-	}
-	degs := DegreesPipeline(edges, bucket)
-	var cur incremental.Source[embDegs] = incremental.Select[Embedding, embDegs](emb,
-		func(e Embedding) embDegs { return embDegs{Emb: e} })
-	for v := 0; v < p.K; v++ {
-		v := v
-		cur = incremental.Join[embDegs, weighted.Grouped[graph.Node, int], graph.Node, embDegs](cur, degs,
-			func(x embDegs) graph.Node { return x.Emb[v] },
-			func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-			func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
-				x.Degs[v] = d.Result
-				return x
-			})
-	}
-	k := p.K
-	return incremental.Select[embDegs, DegProfile](cur,
-		func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) }), nil
 }

@@ -14,9 +14,9 @@ import (
 // length-two paths, degree pairs) into single uint64 words shrinks that
 // state and hits the runtime's fast fixed-size map variants. Packing is
 // confined to pipeline interiors: every public builder still accepts
-// graph.Edge differences and emits the decoded record types, and fused
-// fragments pack at entry and decode at exit, so fragment keys, output
-// types, and the fused DAG shape are unchanged.
+// graph.Edge differences and emits the decoded record types. Shared
+// fragments stay packed across their boundaries, so fragment keys and
+// the fused DAG shape are those of the decoded plan.
 //
 // Packing cannot perturb results or trace determinism: it is an
 // injective re-encoding applied to records only — weights never pass
@@ -128,14 +128,13 @@ func (p PPath) unpack() Path {
 	return Path{unpackNode(p.aKey()), unpackNode(p.bKey()), unpackNode(p.cKey())}
 }
 
-// packPath is unpack's inverse, used where a fused fragment re-enters
-// packed form from a decoded upstream fragment.
+// packPath is unpack's inverse.
 func packPath(p Path) PPath {
 	return packedPath(packNode(p.A), packNode(p.B), packNode(p.C))
 }
 
-// PDeg is a (vertex, degree) pair packed as node<<21 | deg: the packed
-// form of the degrees fragment's Grouped[graph.Node, int] output.
+// PDeg is a (vertex, degree) pair packed as node<<21 | deg: the record
+// of the shared degrees fragment.
 type PDeg uint64
 
 // packedDeg assembles a (node, degree) word from an already-packed node
@@ -172,10 +171,6 @@ func (d PEdgeDeg) deg() int { return int(uint64(d) & nodeMask) }
 type PPathDeg struct {
 	P   PPath
 	Deg int32
-}
-
-func (x PPathDeg) unpack() PathDeg {
-	return PathDeg{Path: x.P.unpack(), Deg: int(x.Deg)}
 }
 
 // PPathDeg2 pairs a packed path with two degrees (TbD intermediate).

@@ -1,52 +1,38 @@
 package queries
 
 import (
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
 )
 
-// Incremental pipeline builders: the same dataflow shapes as the one-shot
-// queries, wired over the incremental engine so MCMC can re-score a
-// synthetic graph after each edge swap in time proportional to the change
-// (paper Section 4.3). Each builder takes the edge-difference input stream
-// and returns the stream of final output records, ready to terminate in a
-// NoisyCountSink (for scoring) or Collector (for inspection).
-//
-// Pipeline interiors run on the packed record encodings of packed.go: a
-// builder packs the edge stream once at entry, threads uint64-keyed
-// records through its joins and group-bys, and decodes only where its
-// public output type requires it. The *Core helpers hold the packed
-// interiors shared between the plain builders here and the fused
-// fragment bodies in fused.go.
+// Incremental pipeline builders: the dataflow shapes of the one-shot
+// queries wired over the round-scheduled executor (wpinq/internal/engine).
+// Engine streams implement incremental.Source, so the returned sources
+// terminate in incremental.NewNoisyCountSink and incremental.Collect —
+// or in engine.Collect when the materialized output itself is large
+// enough to shard. Interiors run on the packed encodings of packed.go;
+// packed uint64 keys also shrink the hash-exchange records between
+// shards. The fit workloads' memo-aware builders live in fused.go.
 
-// EdgeInput is the root stream type of all graph pipelines: differences to
-// the symmetric directed edge dataset.
-type EdgeInput = *incremental.Input[graph.Edge]
-
-// NewEdgeInput returns an input for symmetric directed edge differences.
-func NewEdgeInput() EdgeInput { return incremental.NewInput[graph.Edge]() }
-
-// packEdges packs the edge stream for a pipeline's interior. Each builder
-// creates one pack node and fans its interior out from it, preserving the
-// relative cascade order the unpacked builders had when they subscribed
-// to the edge input directly.
-func packEdges(edges incremental.Source[graph.Edge]) incremental.Source[PEdge] {
-	return incremental.Select(edges, packEdge)
+// packEdges re-encodes edge differences for the pipeline interior.
+func packEdges(edges engine.Source[graph.Edge]) engine.Source[PEdge] {
+	return engine.Select(edges, packEdge)
 }
 
-// pathsCore is the packed interior of PathsPipeline.
-func pathsCore(pe incremental.Source[PEdge]) incremental.Source[PPath] {
-	joined := incremental.Join(pe, pe,
+// pathsCore is the length-two-path join over packed edges.
+func pathsCore(pe engine.Source[PEdge]) engine.Source[PPath] {
+	joined := engine.Join(pe, pe,
 		func(e PEdge) uint64 { return e.dstKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) })
-	return incremental.Where[PPath](joined, func(p PPath) bool { return p.aKey() != p.cKey() })
+	return engine.Where[PPath](joined, func(p PPath) bool { return p.aKey() != p.cKey() })
 }
 
-// degreesCore is the packed interior of DegreesPipeline.
-func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PDeg] {
-	grouped := incremental.GroupBy(pe,
+// degreesCore is the (optionally bucketed) degree GroupBy over packed
+// edges.
+func degreesCore(pe engine.Source[PEdge], bucket int) engine.Source[PDeg] {
+	grouped := engine.GroupBy(pe,
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(es []PEdge) int {
 			if bucket > 1 {
@@ -54,109 +40,84 @@ func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PD
 			}
 			return len(es)
 		})
-	return incremental.Select(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
+	return engine.Select(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
 		//wpinq:packed-ok g.Key is the GroupBy key produced by e.srcKey(), a packed accessor; the generic Grouped plumbing hides the provenance
 		return packedDeg(g.Key, g.Result)
 	})
 }
 
-// pathDegCore joins packed paths with the center vertex's degree: the
-// shared "abc" prefix of TbD and SbD.
-func pathDegCore(pp incremental.Source[PPath], pd incremental.Source[PDeg]) incremental.Source[PPathDeg] {
-	return incremental.Join(pp, pd,
+// pathDegCore joins each path with its middle vertex's degree.
+func pathDegCore(pp engine.Source[PPath], pd engine.Source[PDeg]) engine.Source[PPathDeg] {
+	return engine.Join(pp, pd,
 		func(p PPath) uint64 { return p.bKey() },
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} })
 }
 
-// tbiCore is the rotate/intersect/unit suffix of TbI over packed paths.
-func tbiCore(pp incremental.Source[PPath]) incremental.Source[Unit] {
-	rotated := incremental.Select(pp, func(p PPath) PPath { return p.rotate() })
-	triangles := incremental.Intersect[PPath](rotated, pp)
-	return incremental.Select(triangles, func(PPath) Unit { return Unit{} })
+// tbiCore intersects the paths with their rotation (paper Section 5.3).
+func tbiCore(pp engine.Source[PPath]) engine.Source[Unit] {
+	rotated := engine.Select(pp, func(p PPath) PPath { return p.rotate() })
+	triangles := engine.Intersect[PPath](rotated, pp)
+	return engine.Select(triangles, func(PPath) Unit { return Unit{} })
 }
 
-// tbdCore is the rotations/joins/sort suffix of TbD over the packed
-// path-degree stream.
-func tbdCore(abc incremental.Source[PPathDeg]) incremental.Source[DegTriple] {
-	bca := incremental.Select[PPathDeg](abc, func(x PPathDeg) PPathDeg {
+// tbdCore joins a path-degree stream with its two rotations, yielding
+// each triangle's sorted degree triple (paper Section 3.3).
+func tbdCore(abc engine.Source[PPathDeg]) engine.Source[DegTriple] {
+	bca := engine.Select[PPathDeg](abc, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	cab := incremental.Select(bca, func(x PPathDeg) PPathDeg {
+	cab := engine.Select(bca, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	two := incremental.Join[PPathDeg, PPathDeg, PPath, PPathDeg2](abc, bca,
+	two := engine.Join[PPathDeg, PPathDeg, PPath, PPathDeg2](abc, bca,
 		func(x PPathDeg) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} })
-	return incremental.Join[PPathDeg2, PPathDeg, PPath, DegTriple](two, cab,
+	return engine.Join[PPathDeg2, PPathDeg, PPath, DegTriple](two, cab,
 		func(x PPathDeg2) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x PPathDeg2, y PPathDeg) DegTriple { return SortTriple(int(x.D1), int(x.D2), int(y.Deg)) })
 }
 
-// jddCore is the degree-join/self-join interior of JDD.
-func jddCore(pd incremental.Source[PDeg], pe incremental.Source[PEdge]) incremental.Source[DegPair] {
-	temp := incremental.Join(pd, pe,
+// jddCore tags each edge with its source degree and self-joins on the
+// reversed edge (paper Section 3.2).
+func jddCore(pd engine.Source[PDeg], pe engine.Source[PEdge]) engine.Source[DegPair] {
+	temp := engine.Join(pd, pe,
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) })
-	return incremental.Join[PEdgeDeg, PEdgeDeg, uint64, DegPair](temp, temp,
+	return engine.Join[PEdgeDeg, PEdgeDeg, uint64, DegPair](temp, temp,
 		func(x PEdgeDeg) uint64 { return x.edgeKey() },
 		func(y PEdgeDeg) uint64 { return y.reverseKey() },
 		func(x, y PEdgeDeg) DegPair { return DegPair{DA: x.deg(), DB: y.deg()} })
 }
 
-// PathsPipeline mirrors Paths: length-two paths (a,b,c), a != c, at weight
-// 1/(2*db).
-func PathsPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Path] {
+// PathsPipeline mirrors Paths.
+func PathsPipeline(edges engine.Source[graph.Edge]) engine.Source[Path] {
 	pp := pathsCore(packEdges(edges))
-	return incremental.Select(pp, PPath.unpack)
+	return engine.Select(pp, PPath.unpack)
 }
 
-// DegreesPipeline mirrors Degrees: (vertex, possibly bucketed degree)
-// pairs at weight 0.5.
-func DegreesPipeline(edges incremental.Source[graph.Edge], bucket int) incremental.Source[weighted.Grouped[graph.Node, int]] {
+// DegreesPipeline mirrors Degrees.
+func DegreesPipeline(edges engine.Source[graph.Edge], bucket int) engine.Source[weighted.Grouped[graph.Node, int]] {
 	pd := degreesCore(packEdges(edges), bucket)
-	return incremental.Select(pd, func(d PDeg) weighted.Grouped[graph.Node, int] {
+	return engine.Select(pd, func(d PDeg) weighted.Grouped[graph.Node, int] {
 		return weighted.Grouped[graph.Node, int]{Key: unpackNode(d.nodeKey()), Result: d.deg()}
 	})
 }
 
-// TbIPipeline mirrors TbI: a single Unit record carrying the triangle
-// signal of eq. 8. Cost model: 4 uses of the edge input.
-func TbIPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	return tbiCore(pathsCore(packEdges(edges)))
-}
-
-// TbDPipeline mirrors TbD: sorted (bucketed) degree triples of triangles.
-// Cost model: 9 uses of the edge input.
-func TbDPipeline(edges incremental.Source[graph.Edge], bucket int) incremental.Source[DegTriple] {
-	pe := packEdges(edges)
-	return tbdCore(pathDegCore(pathsCore(pe), degreesCore(pe, bucket)))
-}
-
-// JDDPipeline mirrors JDD: (da, db) records at weight 1/(2+2da+2db).
-// Cost model: 4 uses of the edge input.
-func JDDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegPair] {
-	pe := packEdges(edges)
-	return jddCore(degreesCore(pe, 1), pe)
-}
-
-// SbDPipeline mirrors SbD: sorted degree quadruples of 4-cycles. It runs
-// on decoded records: its [2]graph.Node and Path3 join keys have no
-// packed encoding, and it sits outside the MCMC workload hot path.
-// Cost model: 12 uses of the edge input.
-func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQuad] {
+// SbDPipeline mirrors SbD.
+func SbDPipeline(edges engine.Source[graph.Edge]) engine.Source[DegQuad] {
 	paths := PathsPipeline(edges)
 	degs := DegreesPipeline(edges, 1)
-	abc := incremental.Join(paths, degs,
+	abc := engine.Join(paths, degs,
 		func(p Path) graph.Node { return p.B },
 		func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
 		func(p Path, d weighted.Grouped[graph.Node, int]) PathDeg {
 			return PathDeg{Path: p, Deg: d.Result}
 		})
-	abcd := incremental.Join[PathDeg, PathDeg, [2]graph.Node, Path3Deg2](abc, abc,
+	abcd := engine.Join[PathDeg, PathDeg, [2]graph.Node, Path3Deg2](abc, abc,
 		func(x PathDeg) [2]graph.Node { return [2]graph.Node{x.Path.B, x.Path.C} },
 		func(y PathDeg) [2]graph.Node { return [2]graph.Node{y.Path.A, y.Path.B} },
 		func(x, y PathDeg) Path3Deg2 {
@@ -165,28 +126,72 @@ func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQua
 				DB:   x.Deg, DC: y.Deg,
 			}
 		})
-	filtered := incremental.Where[Path3Deg2](abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
-	cdab := incremental.Select[Path3Deg2](filtered, func(x Path3Deg2) Path3Deg2 {
+	filtered := engine.Where[Path3Deg2](abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
+	cdab := engine.Select[Path3Deg2](filtered, func(x Path3Deg2) Path3Deg2 {
 		return Path3Deg2{Path: x.Path.Rotate2(), DB: x.DB, DC: x.DC}
 	})
-	return incremental.Join[Path3Deg2, Path3Deg2, Path3, DegQuad](filtered, cdab,
+	return engine.Join[Path3Deg2, Path3Deg2, Path3, DegQuad](filtered, cdab,
 		func(x Path3Deg2) Path3 { return x.Path },
 		func(y Path3Deg2) Path3 { return y.Path },
 		func(x, y Path3Deg2) DegQuad { return SortQuad(y.DB, x.DB, x.DC, y.DC) })
 }
 
-// DegreeCCDFPipeline mirrors DegreeCCDF. Cost model: 1 use.
-func DegreeCCDFPipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
-	names := incremental.Select(edges, func(e graph.Edge) graph.Node { return e.Src })
-	shaved := incremental.ShaveConst[graph.Node](names, 1.0)
-	return incremental.Select[weighted.Indexed[graph.Node], int](shaved,
+// DegreeCCDFPipeline mirrors DegreeCCDF.
+func DegreeCCDFPipeline(edges engine.Source[graph.Edge]) engine.Source[int] {
+	names := engine.Select(edges, func(e graph.Edge) graph.Node { return e.Src })
+	shaved := engine.ShaveConst[graph.Node](names, 1.0)
+	return engine.Select[weighted.Indexed[graph.Node], int](shaved,
 		func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
 }
 
-// DegreeSequencePipeline mirrors DegreeSequence. Cost model: 1 use.
-func DegreeSequencePipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
+// DegreeSequencePipeline mirrors DegreeSequence.
+func DegreeSequencePipeline(edges engine.Source[graph.Edge]) engine.Source[int] {
 	ccdf := DegreeCCDFPipeline(edges)
-	shaved := incremental.ShaveConst[int](ccdf, 1.0)
-	return incremental.Select[weighted.Indexed[int], int](shaved,
+	shaved := engine.ShaveConst[int](ccdf, 1.0)
+	return engine.Select[weighted.Indexed[int], int](shaved,
 		func(ix weighted.Indexed[int]) int { return ix.Index })
+}
+
+// MotifPipeline mirrors MotifCount. Cost model: p.Uses() uses of the
+// edge input.
+func MotifPipeline(edges engine.Source[graph.Edge], p Pattern) (engine.Source[Unit], error) {
+	emb, err := embeddings(edges, p)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Select[Embedding, Unit](emb, func(Embedding) Unit { return Unit{} }), nil
+}
+
+// embeddings compiles the pattern's join plan, producing the stream of
+// injective partial embeddings.
+func embeddings(edges engine.Source[graph.Edge], p Pattern) (engine.Source[Embedding], error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	first, steps := p.compile()
+	var emb engine.Source[Embedding] = engine.Select(edges, func(e graph.Edge) Embedding {
+		out := emptyEmbedding()
+		out[first[0]] = e.Src
+		out[first[1]] = e.Dst
+		return out
+	})
+	for _, s := range steps {
+		s := s
+		if s.Closing {
+			emb = engine.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
+				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
+				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
+				func(e Embedding, _ graph.Edge) Embedding { return e })
+			continue
+		}
+		joined := engine.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
+			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
+			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
+			func(e Embedding, ed graph.Edge) Embedding {
+				e[s.V] = ed.Dst
+				return e
+			})
+		emb = engine.Where[Embedding](joined, injective)
+	}
+	return emb, nil
 }

@@ -1,10 +1,12 @@
 package queries
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
@@ -38,94 +40,95 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// checkPipelineMatchesQuery loads a graph into an incremental pipeline,
-// applies a series of random valid edge swaps, and verifies after each
-// step that the pipeline output equals the one-shot query on the current
-// graph: the end-to-end equivalence of the two engines on real analyses.
+// shardConfigs enumerates the shard layouts the pipeline
+// equivalence tests run under; cutoff 0 forces parallel dispatch on every
+// round so the race detector sees real concurrency.
+var shardConfigs = []struct {
+	shards int
+	cutoff int
+}{
+	{1, engine.DefaultSerialCutoff},
+	{4, 0},
+}
+
+// checkPipelineMatchesQuery loads a graph into a pipeline on every shard
+// layout, applies random valid edge swaps, and verifies after each step
+// that the pipeline output equals the one-shot query on the current
+// graph: the end-to-end equivalence of the two query forms on real
+// analyses.
 func checkPipelineMatchesQuery[T comparable](
 	t *testing.T,
 	name string,
-	buildPipeline func(incremental.Source[graph.Edge]) incremental.Source[T],
+	buildPipeline func(engine.Source[graph.Edge]) engine.Source[T],
 	buildQuery func(*core.Collection[graph.Edge]) *core.Collection[T],
 	swaps int,
 ) {
 	t.Helper()
-	g := testGraph(t)
-	in := NewEdgeInput()
-	out := incremental.Collect(buildPipeline(in))
-	in.PushDataset(graph.SymmetricEdges(g))
+	for _, cfg := range shardConfigs {
+		cfg := cfg
+		t.Run(fmt.Sprintf("%s/shards=%d,cutoff=%d", name, cfg.shards, cfg.cutoff), func(t *testing.T) {
+			g := testGraph(t)
+			eng := engine.New(cfg.shards)
+			eng.SetSerialCutoff(cfg.cutoff)
+			in := engine.NewInput[graph.Edge](eng)
+			out := engine.Collect(buildPipeline(in))
+			in.PushDataset(graph.SymmetricEdges(g))
 
-	compare := func(step int) {
-		want := buildQuery(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
-		if !weighted.Equal(out.Snapshot(), want, 1e-6) {
-			t.Fatalf("%s diverged at step %d", name, step)
-		}
-	}
-	compare(-1)
+			compare := func(step int) {
+				want := buildQuery(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
+				if !weighted.Equal(out.Snapshot(), want, 1e-6) {
+					t.Fatalf("%s diverged at step %d", name, step)
+				}
+			}
+			compare(-1)
 
-	rng := rand.New(rand.NewSource(99))
-	edges := g.EdgeList()
-	for step := 0; step < swaps; step++ {
-		ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
-		if ei == ej {
-			continue
-		}
-		a, b := edges[ei].Src, edges[ei].Dst
-		c, d := edges[ej].Src, edges[ej].Dst
-		if rng.Intn(2) == 0 {
-			c, d = d, c
-		}
-		if a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
-			continue
-		}
-		g.RemoveEdge(a, b)
-		g.RemoveEdge(c, d)
-		g.AddEdge(a, d)
-		g.AddEdge(c, b)
-		edges[ei] = graph.Edge{Src: min32(a, d), Dst: max32(a, d)}
-		edges[ej] = graph.Edge{Src: min32(c, b), Dst: max32(c, b)}
-		in.Push(swapDiffs(a, b, c, d))
-		compare(step)
+			rng := rand.New(rand.NewSource(99))
+			edges := g.EdgeList()
+			for step := 0; step < swaps; step++ {
+				ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
+				if ei == ej {
+					continue
+				}
+				a, b := edges[ei].Src, edges[ei].Dst
+				c, d := edges[ej].Src, edges[ej].Dst
+				if rng.Intn(2) == 0 {
+					c, d = d, c
+				}
+				if a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
+					continue
+				}
+				g.RemoveEdge(a, b)
+				g.RemoveEdge(c, d)
+				g.AddEdge(a, d)
+				g.AddEdge(c, b)
+				edges[ei] = graph.Edge{Src: a, Dst: d}
+				edges[ej] = graph.Edge{Src: c, Dst: b}
+				in.Push(swapDiffs(a, b, c, d))
+				compare(step)
+			}
+		})
 	}
-}
-
-func min32(a, b graph.Node) graph.Node {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b graph.Node) graph.Node {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // The per-workload TbI/TbD/JDD equivalence tests that used to live
 // here were superseded by the registry-driven table test in
 // wpinq/internal/workload (TestRegisteredWorkloadsMatchQueryOnEveryExecutor),
-// which covers every registered workload on both executors. The checks
-// below cover the pipelines that are not registry workloads.
+// which covers every registered workload on every shard layout. The
+// checks below cover the pipelines that are not registry workloads.
 
 func TestDegreePipelinesMatchQueries(t *testing.T) {
 	checkPipelineMatchesQuery(t, "DegreeCCDF",
-		func(s incremental.Source[graph.Edge]) incremental.Source[int] { return DegreeCCDFPipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[int] { return DegreeCCDF(c) },
-		25)
+		DegreeCCDFPipeline, DegreeCCDF, 25)
 	checkPipelineMatchesQuery(t, "DegreeSequence",
-		func(s incremental.Source[graph.Edge]) incremental.Source[int] { return DegreeSequencePipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[int] { return DegreeSequence(c) },
-		25)
+		DegreeSequencePipeline, DegreeSequence, 25)
 }
 
 func TestTbIPipelineRollback(t *testing.T) {
 	// Pushing a swap and its inverse restores the pipeline exactly: the
 	// MCMC rejection path on a real query.
 	g := testGraph(t)
-	in := NewEdgeInput()
-	out := incremental.Collect(TbIPipeline(in))
+	in := engine.NewInput[graph.Edge](engine.New(1))
+	out := incremental.Collect(TbIPipeline(nil, in))
 	in.PushDataset(graph.SymmetricEdges(g))
 	before := out.Weight(Unit{})
 
@@ -141,4 +144,26 @@ func TestTbIPipelineRollback(t *testing.T) {
 	if diff := after - before; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("rollback drift: %v -> %v", before, after)
 	}
+}
+
+func TestEngineDegreeCCDFPipelineMatchesQuery(t *testing.T) {
+	checkPipelineMatchesQuery(t, "EngineDegreeCCDF",
+		DegreeCCDFPipeline, DegreeCCDF, 12)
+}
+
+func TestEngineDegreeSequencePipelineMatchesQuery(t *testing.T) {
+	checkPipelineMatchesQuery(t, "EngineDegreeSequence",
+		DegreeSequencePipeline, DegreeSequence, 12)
+}
+
+// Engine TbI/TbD/JDD equivalence moved to the registry-driven table
+// test in wpinq/internal/workload, which runs every registered workload
+// across executors and shard layouts.
+
+func TestEngineSbDPipelineMatchesQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SbD pipeline is the heaviest; skipped in -short mode")
+	}
+	checkPipelineMatchesQuery(t, "EngineSbD",
+		SbDPipeline, SbD, 4)
 }

@@ -7,11 +7,11 @@
 //
 //   - a one-shot form over core.Collection, used to take the actual
 //     differentially-private measurements of a protected graph, and
-//   - an incremental pipeline over the dataflow engine, used by MCMC to
-//     score synthetic graphs against those measurements (Section 4.3).
-//     Each pipeline exists twice: over the single-threaded reference
-//     engine (pipelines.go) and over the sharded parallel executor
-//     (engine_pipelines.go, the Engine* builders).
+//   - an incremental pipeline over the round-scheduled dataflow executor
+//     (wpinq/internal/engine), used by MCMC to score synthetic graphs
+//     against those measurements (Section 4.3). The fit workloads'
+//     pipelines (fused.go) request shared fragments through a plan.Memo;
+//     the rest are plain builders (pipelines.go).
 //
 // All forms share record types and are proven equivalent by tests.
 //

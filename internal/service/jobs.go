@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -535,6 +536,16 @@ func (jm *JobManager) run(j *Job) {
 	}
 	recordJobState(JobRunning)
 	log := jm.log.With("job", id)
+	// A panicking job fails alone: the worker survives to run the next
+	// job, and the checkpoint (if any) stays on disk as the recovery
+	// point, exactly as on an ordinary failure.
+	defer func() {
+		if r := recover(); r != nil {
+			jobPanics.Inc()
+			log.Error("job panicked", "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			j.finish(func(st *JobStatus) { st.State = JobFailed; st.Error = fmt.Sprintf("internal error: %v", r) })
+		}
+	}()
 	log.Info("job running", "measurement", req.Measurement, "seed", seed)
 	fail := func(stage string, err error) {
 		log.Error("job failed", "stage", stage, "err", err)
@@ -647,6 +658,30 @@ func (jm *JobManager) run(j *Job) {
 	j.mu.Lock()
 	j.result = res.Synthetic
 	j.mu.Unlock()
+	if durable {
+		// A clean terminal state retires the checkpoint; an interrupt at
+		// shutdown keeps it so the next boot's Recover can re-queue the
+		// job. The quit channel — not the cancelled flag — is the
+		// discriminator, because Close sets cancelled on every job, so a
+		// cancelled state alone cannot distinguish a user's cancel (retire)
+		// from a shutdown interrupt (keep). Retirement happens before the
+		// terminal transition, so whoever waits on Done observes it.
+		interrupted := false
+		select {
+		case <-jm.quit:
+			interrupted = true
+		default:
+		}
+		if interrupted {
+			log.Info("job interrupted by shutdown; checkpoint kept", "step", res.Stats.Steps)
+		} else {
+			if err := jm.store.DeleteCheckpoint(id); err != nil {
+				log.Error("deleting retired checkpoint", "err", err)
+			} else {
+				jobCheckpointStep.Remove(id)
+			}
+		}
+	}
 	j.finish(func(st *JobStatus) {
 		if res.Cancelled {
 			st.State = JobCancelled
@@ -663,29 +698,6 @@ func (jm *JobManager) run(j *Job) {
 		st.Residuals = res.Residuals
 	})
 	st := j.Status()
-	if durable {
-		// A clean terminal state retires the checkpoint; an interrupt at
-		// shutdown keeps it so the next boot's Recover can re-queue the
-		// job. The quit channel — not the cancelled flag — is the
-		// discriminator, because Close sets cancelled on every job, so a
-		// cancelled state alone cannot distinguish a user's cancel (retire)
-		// from a shutdown interrupt (keep).
-		interrupted := false
-		select {
-		case <-jm.quit:
-			interrupted = true
-		default:
-		}
-		if interrupted {
-			log.Info("job interrupted by shutdown; checkpoint kept", "step", st.Step)
-		} else {
-			if err := jm.store.DeleteCheckpoint(id); err != nil {
-				log.Error("deleting retired checkpoint", "err", err)
-			} else {
-				jobCheckpointStep.Remove(id)
-			}
-		}
-	}
 	log.Info("job finished", "state", st.State, "score", st.Score,
 		"accepted", st.Accepted, "steps", st.Step)
 }

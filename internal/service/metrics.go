@@ -42,6 +42,8 @@ var (
 		"Durable-job resume attempts (boot recovery and explicit resume), by outcome (ok, stale, or error).", "outcome")
 	jobCheckpointStep = obs.Default.GaugeVec("wpinq_job_checkpoint_step",
 		"Step count of a job's most recent checkpoint; the series is removed when the checkpoint is deleted.", "job")
+	jobPanics = obs.Default.Counter("wpinq_job_panics_total",
+		"Synthesis jobs whose run panicked; each such job fails and keeps its checkpoint.")
 )
 
 // recordLedger publishes one dataset's budget gauges from a consistent

@@ -44,8 +44,8 @@ type Options struct {
 	// memory-only.
 	Dir string
 	// Shards is the default dataflow shard count for synthesis jobs
-	// (synth.Config.Shards semantics: 0 = one per CPU, -1 = serial
-	// reference engine). Individual jobs may override it.
+	// (synth.Config.Shards semantics: 0 = one per CPU, -1 = one shard
+	// run inline). Individual jobs may override it.
 	Shards int
 	// Chains is the default replica-exchange chain count for synthesis
 	// jobs (synth.Config.Chains semantics; 0 or 1 = single chain).
@@ -131,8 +131,8 @@ func New(opts Options) (*Service, error) {
 }
 
 // workerCount sizes the job pool: each job's executor occupies roughly
-// `shards` CPUs (GOMAXPROCS for the auto setting, 1 for the serial
-// reference engine), so the pool admits GOMAXPROCS/shards jobs at once.
+// `shards` CPUs (GOMAXPROCS for the auto setting, 1 for the one inline
+// shard of -1), so the pool admits GOMAXPROCS/shards jobs at once.
 func workerCount(opts Options) int {
 	if opts.Workers > 0 {
 		return opts.Workers

@@ -271,7 +271,7 @@ func TestWorkerCount(t *testing.T) {
 	}{
 		{Options{Workers: 3}, 3},
 		{Options{Shards: 0}, 1},  // auto: each job uses every CPU
-		{Options{Shards: -1}, 1}, // serial jobs: one worker per CPU
+		{Options{Shards: -1}, 1}, // one-shard jobs: one worker per CPU
 	}
 	for _, c := range cases {
 		if got := workerCount(c.opts); got < c.min {

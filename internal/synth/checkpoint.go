@@ -55,8 +55,9 @@ type ChainCheckpoint struct {
 	// Pow is the chain's current ladder assignment (moved by swaps).
 	Pow float64 `json:"pow"`
 	// ScoreBits is math.Float64bits of the re-anchored score, verified
-	// on resume under the cross-process determinism contract (serial and
-	// 1-shard executors only; multi-shard routing seeds are per-process).
+	// on resume under the cross-process determinism contract (one-shard
+	// executors only, Shards -1 or 1; multi-shard routing seeds are
+	// per-process).
 	ScoreBits uint64 `json:"score_bits"`
 	// Walk statistics accumulated so far.
 	Accepted      int `json:"accepted"`

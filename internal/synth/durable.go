@@ -9,8 +9,8 @@ package synth
 // interrupted or not, so the state at a boundary is a pure function of
 // the checkpoint's contents and a resumed process continues the exact
 // proposal trace the original would have produced (bit-identical final
-// edge lists and accept/reject decisions on the serial and 1-shard
-// executors; see DESIGN.md "Durable jobs").
+// edge lists and accept/reject decisions on one-shard executors, Shards
+// -1 or 1; see DESIGN.md "Durable jobs").
 //
 // The price of durability is a different trace from the non-durable
 // path (re-anchoring replaces incrementally maintained float state with
@@ -261,7 +261,7 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 			return nil, err
 		}
 		// Score verification is meaningful only under the cross-process
-		// determinism contract: serial and 1-shard executors. Multi-shard
+		// determinism contract: one-shard executors (-1 or 1). Multi-shard
 		// runs route records by a per-process maphash seed, so their float
 		// accumulation order legitimately differs across processes.
 		if (d.shards == -1 || d.shards == 1) && math.Float64bits(ch.runner.Score()) != cc.ScoreBits {

@@ -12,7 +12,7 @@
 //
 // Fit workloads are resolved by name against the workload registry
 // (wpinq/internal/workload): each workload carries its own privacy use
-// count, measurement query, and fit pipelines for both executors, so
+// count, measurement query, and fit pipeline, so
 // adding a new fittable analysis is one registration, not a change to
 // this package.
 //
@@ -105,16 +105,16 @@ type Config struct {
 	// ladder Pow/2^i for chain i: chain 0 walks at the configured
 	// target sharpening and each further chain at half the previous.
 	PowLadder []float64
-	// Shards selects the dataflow executor for Phase 2:
+	// Shards selects the dataflow executor's shard layout for Phase 2:
 	//
-	//	 0  sharded parallel executor, one shard per CPU (the default);
-	//	>0  sharded parallel executor with exactly that many shards;
-	//	-1  the single-threaded reference engine (internal/incremental).
+	//	 0  one shard per CPU (the default);
+	//	>0  exactly that many shards;
+	//	-1  one shard, run inline (the same layout as 1).
 	//
-	// Both executors implement identical operator semantics (pinned by
+	// Every layout implements identical operator semantics (pinned by
 	// equivalence tests against internal/weighted); sharding pays off on
 	// the bulk initial load and on large per-swap difference fronts. On
-	// either executor, Phase 2 scores proposals transactionally: one
+	// every layout, Phase 2 scores proposals transactionally: one
 	// propagation per step, with rejected swaps unwound from operator
 	// undo logs rather than re-propagated (DESIGN.md "Transactional
 	// scoring") — the dominant cost saving in high-Pow and
@@ -166,7 +166,7 @@ func (c *Config) Validate() error {
 		c.RecomputeEvery = 1 << 15
 	}
 	if c.Shards < -1 {
-		return errors.New("synth: Shards must be -1 (reference engine), 0 (auto), or positive")
+		return errors.New("synth: Shards must be -1 (one inline shard), 0 (auto), or positive")
 	}
 	// A non-positive cadence would make runChunked's chunk size 0 and
 	// the progress loop spin forever; default it here and guard again in

@@ -215,11 +215,10 @@ func TestOnStepObservesRun(t *testing.T) {
 }
 
 func TestExecutorsScoreIdentically(t *testing.T) {
-	// The sharded executor and the serial reference engine must assign
-	// the same fit score to the same seed graph under the same
-	// measurements: Synthesize with zero steps reports the initial
-	// scorer value, which exercises every registered workload's pipeline
-	// stack end to end on both executors.
+	// Every shard layout must assign the same fit score to the same
+	// seed graph under the same measurements: Synthesize with zero steps
+	// reports the initial scorer value, which exercises every registered
+	// workload's pipeline stack end to end on each layout.
 	g := clusteredGraph(t, 90)
 	base := Config{
 		Eps:       1.0,
@@ -249,13 +248,13 @@ func TestExecutorsScoreIdentically(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		got := score(shards)
 		if math.Abs(got-ref) > 1e-6*(1+math.Abs(ref)) {
-			t.Errorf("shards=%d score %v, reference engine %v", shards, got, ref)
+			t.Errorf("shards=%d score %v, shards=-1 %v", shards, got, ref)
 		}
 	}
 }
 
 func TestReferenceEngineWorkflowRuns(t *testing.T) {
-	// The serial reference executor stays selectable via Shards: -1.
+	// Shards: -1 (one inline shard) stays a valid configuration.
 	g := clusteredGraph(t, 80)
 	cfg := Config{
 		Eps:       1.0,
@@ -269,7 +268,7 @@ func TestReferenceEngineWorkflowRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.Accepted == 0 {
-		t.Error("reference-engine workflow accepted no steps")
+		t.Error("Shards: -1 workflow accepted no steps")
 	}
 }
 

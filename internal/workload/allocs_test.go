@@ -24,8 +24,9 @@ import (
 // below the pre-pooling cost, so reintroducing per-push batch or undo
 // allocation fails immediately.
 //
-// The serial layout is near-deterministic; the engine layout adds
-// scheduler-dependent channel traffic, so its bound is wider.
+// The one-shard layout ("serial", Shards -1) runs every round inline
+// and is near-deterministic; the three-shard layout with cutoff 0
+// dispatches worker goroutines every round, so its bound is wider.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warm-up is slow under -short")

@@ -4,7 +4,6 @@ import (
 	"wpinq/internal/core"
 	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
 	"wpinq/internal/queries"
 )
@@ -17,8 +16,8 @@ import (
 //
 // Each workload is defined exactly once, here. Everything downstream —
 // privacy cost accounting, measurement, the canonical serialization
-// format, both fit executors, the curator service API, and the CLI
-// flags — picks it up by name.
+// format, the fit executor, the curator service API, and the CLI flags —
+// picks it up by name.
 func init() {
 	MustRegister(Define[queries.Unit](Workload{
 		Name:        "tbi",
@@ -28,17 +27,8 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
 			return queries.TbI(edges)
 		},
-		Serial: func(edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
-			return queries.TbIPipeline(edges)
-		},
-		Engine: func(edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.EngineTbIPipeline(edges)
-		},
-		SerialFused: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
-			return queries.FusedTbIPipeline(m, edges)
-		},
-		EngineFused: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.EngineFusedTbIPipeline(m, edges)
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
+			return queries.TbIPipeline(m, edges)
 		},
 	}))
 
@@ -48,11 +38,8 @@ func init() {
 		Uses:        9,
 		Bucketed:    true,
 	}, Builders[queries.DegTriple]{
-		Query:       queries.TbD,
-		Serial:      queries.TbDPipeline,
-		Engine:      queries.EngineTbDPipeline,
-		SerialFused: queries.FusedTbDPipeline,
-		EngineFused: queries.EngineFusedTbDPipeline,
+		Query:    queries.TbD,
+		Pipeline: queries.TbDPipeline,
 	}))
 
 	MustRegister(Define[queries.DegPair](Workload{
@@ -63,17 +50,8 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.DegPair] {
 			return queries.JDD(edges)
 		},
-		Serial: func(edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.DegPair] {
-			return queries.JDDPipeline(edges)
-		},
-		Engine: func(edges engine.Source[graph.Edge], _ int) engine.Source[queries.DegPair] {
-			return queries.EngineJDDPipeline(edges)
-		},
-		SerialFused: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.DegPair] {
-			return queries.FusedJDDPipeline(m, edges)
-		},
-		EngineFused: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.DegPair] {
-			return queries.EngineFusedJDDPipeline(m, edges)
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.DegPair] {
+			return queries.JDDPipeline(m, edges)
 		},
 	}))
 
@@ -85,17 +63,8 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
 			return queries.WedgeCount(edges)
 		},
-		Serial: func(edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
-			return queries.WedgeCountPipeline(edges)
-		},
-		Engine: func(edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.EngineWedgeCountPipeline(edges)
-		},
-		SerialFused: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
-			return queries.FusedWedgeCountPipeline(m, edges)
-		},
-		EngineFused: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.EngineFusedWedgeCountPipeline(m, edges)
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
+			return queries.WedgeCountPipeline(m, edges)
 		},
 	}))
 
@@ -113,17 +82,8 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[queries.DegProfile] {
 			return mustPlan(queries.MotifByDegree(edges, queries.StarPattern4, bucket))
 		},
-		Serial: func(edges incremental.Source[graph.Edge], bucket int) incremental.Source[queries.DegProfile] {
-			return mustPlan(queries.MotifByDegreePipeline(edges, queries.StarPattern4, bucket))
-		},
-		Engine: func(edges engine.Source[graph.Edge], bucket int) engine.Source[queries.DegProfile] {
-			return mustPlan(queries.EngineMotifByDegreePipeline(edges, queries.StarPattern4, bucket))
-		},
-		SerialFused: func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[queries.DegProfile] {
-			return mustPlan(queries.FusedMotifByDegreePipeline(m, edges, queries.StarPattern4, bucket))
-		},
-		EngineFused: func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[queries.DegProfile] {
-			return mustPlan(queries.EngineFusedMotifByDegreePipeline(m, edges, queries.StarPattern4, bucket))
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[queries.DegProfile] {
+			return mustPlan(queries.MotifByDegreePipeline(m, edges, queries.StarPattern4, bucket))
 		},
 	}))
 }

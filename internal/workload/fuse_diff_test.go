@@ -17,9 +17,10 @@ import (
 )
 
 // fuseLayouts are the executor layouts every fused-vs-unfused
-// differential runs on: the serial reference engine, a single-shard
-// parallel executor, and a genuinely parallel three-shard executor with
-// serial cutoff 0 (parallel dispatch on every round; run under -race).
+// differential runs on: Shards -1 ("serial", one inline shard), an
+// explicit single shard, and a genuinely parallel three-shard executor
+// with serial cutoff 0 (parallel dispatch on every round; run under
+// -race).
 var fuseLayouts = []struct {
 	name   string
 	shards int

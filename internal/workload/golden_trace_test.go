@@ -43,11 +43,12 @@ type goldenTrace struct {
 }
 
 // TestGoldenTrace pins the full seeded 1500-step fused 5-workload walk
-// against committed trace files on the two layouts that are
-// bit-reproducible across processes: the serial executor and the
-// single-shard engine. (Multi-shard engines route by a per-process hash
-// seed, so their accumulation order is reproducible only in-process; the
-// engine-3 coverage is TestEngine3MatchesSerialForcedWalk below.)
+// against a committed trace file on the layouts that are bit-reproducible
+// across processes: the one-shard engine, requested as Shards -1
+// ("serial") and as 1. Both replay the same golden. (Multi-shard engines
+// route by a per-process hash seed, so their accumulation order is
+// reproducible only in-process; the engine-3 coverage is
+// TestEngine3MatchesSerialForcedWalk below.)
 func TestGoldenTrace(t *testing.T) {
 	const steps = 1500
 	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
@@ -69,7 +70,7 @@ func TestGoldenTrace(t *testing.T) {
 				InputPushes: tr.inputPushes,
 				MemoPushes:  tr.memoPushes,
 			}
-			path := filepath.Join("testdata", "golden_trace_"+l.name+".json")
+			path := filepath.Join("testdata", "golden_trace_engine-1.json")
 			if *updateGolden {
 				b, err := json.MarshalIndent(got, "", " ")
 				if err != nil {

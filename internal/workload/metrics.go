@@ -1,16 +1,18 @@
 package workload
 
 import (
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/obs"
 	"wpinq/internal/weighted"
 )
 
-// Plan-root metrics, labeled by executor ("serial" or "sharded"). The
-// root is the right tap: the sharded engine internally re-pushes each
-// batch once per shard feed, so instrumenting the executors' own Push
-// would count implementation fan-out, not dataflow input. Pushes,
+// Plan-root metrics, labeled by executor layout ("serial" for one
+// shard run inline, "sharded" otherwise). The root is the right tap:
+// the engine internally re-pushes each batch once per shard feed, so
+// instrumenting the executor's own Push would count implementation
+// fan-out, not dataflow input. Pushes,
 // batch sizes, and transaction outcomes are recorded per root delivery
 // — one counter bump and one histogram observation per MCMC proposal.
 var (
@@ -23,25 +25,21 @@ var (
 		"Plan-root transaction control events.", "executor", "op")
 )
 
-// planInput is what both executors' concrete inputs provide: the
-// dataflow entry points, the transactional protocol, and the push
-// counter. (*incremental.Input[graph.Edge] and
-// *engine.Input[graph.Edge] both satisfy it.)
-type planInput interface {
-	Input
-	Begin()
-	Commit()
-	Abort()
-	Pushes() uint64
+// executorLabel names a plan's executor layout for the metric labels.
+func executorLabel(e *engine.Engine) string {
+	if e.Shards() == 1 {
+		return "serial"
+	}
+	return "sharded"
 }
 
 // obsInput decorates a plan's root input with metrics. It forwards the
-// full planInput surface, so plans keep satisfying mcmc.TxnInput (the
+// input's full surface, so plans keep satisfying mcmc.TxnInput (the
 // transactional scoring protocol engages exactly as before) and tests
 // that read Pushes() through the plan input still see the executor's
 // own counter.
 type obsInput struct {
-	in     planInput
+	in     *engine.Input[graph.Edge]
 	push   obs.Counter
 	batch  obs.Histogram
 	begin  obs.Counter
@@ -49,7 +47,7 @@ type obsInput struct {
 	abort  obs.Counter
 }
 
-func newObsInput(in planInput, executor string) *obsInput {
+func newObsInput(in *engine.Input[graph.Edge], executor string) *obsInput {
 	return &obsInput{
 		in:     in,
 		push:   planPushes.With(executor),

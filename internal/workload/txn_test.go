@@ -11,14 +11,17 @@ import (
 	"wpinq/internal/workload"
 )
 
-// TestPlanInputsAreTransactional pins the wire-through: every plan form
-// (serial reference engine, auto-sharded executor, explicit shards)
+// TestPlanInputsAreTransactional pins the wire-through: every shard
+// layout (one inline shard, auto-sharded, explicit shards)
 // exposes an input implementing mcmc.TxnInput, so Phase 2 synthesis
 // scores proposals with one propagation per rejected step on whichever
 // executor the configuration selects.
 func TestPlanInputsAreTransactional(t *testing.T) {
 	for _, shards := range []int{-1, 0, 1, 3} {
 		p := workload.NewPlan(shards)
+		if shards == -1 && p.Engine().Shards() != 1 {
+			t.Errorf("shards=-1: plan runs %d shards, want one inline shard", p.Engine().Shards())
+		}
 		w, err := workload.Get("tbi")
 		if err != nil {
 			t.Fatal(err)

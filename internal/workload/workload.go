@@ -1,20 +1,18 @@
 // Package workload is the registry that makes wPINQ's declarative pitch
 // real for this repository: each analysis (a "workload") is defined
-// exactly once — a name, a privacy use count, and builders for the three
-// executions of its query plan — and every layer above (measurement,
+// exactly once — a name, a privacy use count, and builders for the two
+// forms of its query plan — and every layer above (measurement,
 // serialization, MCMC fitting, the curator service, the CLIs) resolves
 // workloads by name instead of hard-coding a query trio.
 //
-// A workload's plan exists in three equivalent forms, mirroring the rest
+// A workload's plan exists in two equivalent forms, mirroring the rest
 // of the repository:
 //
 //   - a one-shot form over core.Collection, used to take the actual
-//     differentially private measurement of a protected graph;
-//   - an incremental pipeline over the serial reference engine
-//     (wpinq/internal/incremental), used by MCMC to re-score a synthetic
-//     graph after each edge swap; and
-//   - the same pipeline over the sharded parallel executor
-//     (wpinq/internal/engine).
+//     differentially private measurement of a protected graph; and
+//   - an incremental pipeline over the round-scheduled dataflow executor
+//     (wpinq/internal/engine), used by MCMC to re-score a synthetic graph
+//     after each edge swap.
 //
 // The result histogram is type-erased behind the Histogram interface
 // (typed get, distance, canonical serialization), so workloads with
@@ -38,12 +36,11 @@ import (
 )
 
 // Input is the dataflow entry point a fit plan exposes: it accepts the
-// edge differences of a proposed swap. Both executors' inputs satisfy
-// it, and it is structurally identical to mcmc.Input, so a Plan's input
-// plugs straight into mcmc.NewGraphState. Both concrete inputs also
-// implement mcmc.TxnInput (Begin/Commit/Abort), so the sampler scores
-// proposals transactionally — one propagation per proposal, rejected or
-// not — on every plan this package builds, in either plan form.
+// edge differences of a proposed swap. It is structurally identical to
+// mcmc.Input, so a Plan's input plugs straight into mcmc.NewGraphState.
+// The plan input also implements mcmc.TxnInput (Begin/Commit/Abort), so
+// the sampler scores proposals transactionally — one propagation per
+// proposal, rejected or not — on every plan this package builds.
 type Input interface {
 	Push(batch []incremental.Delta[graph.Edge])
 	PushDataset(d *weighted.Dataset[graph.Edge])
@@ -148,7 +145,7 @@ type Workload struct {
 	impl impl
 }
 
-// impl is the type-erased implementation of a workload's three plan
+// impl is the type-erased implementation of a workload's two plan
 // forms, provided by Define.
 type impl interface {
 	measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error)
@@ -207,15 +204,16 @@ func (w Workload) Collect(p *Plan, bucket int) Collected {
 // Exact evaluates the workload's one-shot query over g without noise or
 // privacy charge (the graph is treated as public) and returns the exact
 // output weights, canonically keyed. This is the reference the
-// executor-equivalence tests compare both engines against.
+// executor-equivalence tests compare every shard layout against.
 func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) {
 	return w.impl.exact(g, w.normBucket(bucket))
 }
 
-// Plan is a fit pipeline under construction on one executor: the MCMC
-// input root plus the scorer the attached sinks feed. Shards semantics
-// match synth.Config.Shards: -1 selects the serial reference engine,
-// 0 the sharded executor with one shard per CPU, >0 an explicit count.
+// Plan is a fit pipeline under construction on the round-scheduled
+// executor: the MCMC input root plus the scorer the attached sinks feed.
+// Shards semantics match synth.Config.Shards: 0 selects one shard per
+// CPU, >0 an explicit count, and -1 one shard run inline (the same
+// layout as 1).
 //
 // Every plan carries a plan.Memo: workloads that register fused
 // builders request their pipeline fragments through it, so attaching
@@ -224,7 +222,6 @@ func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) 
 // with fuse false) builds every workload its private pipeline — the
 // pre-fusion behavior, kept as the differential baseline.
 type Plan struct {
-	serial *incremental.Input[graph.Edge]
 	eng    *engine.Engine
 	engIn  *engine.Input[graph.Edge]
 	input  *obsInput // metrics decorator over the root input
@@ -233,22 +230,17 @@ type Plan struct {
 }
 
 // NewPlan returns an empty fusing plan on the selected executor. Attach
-// every workload before pushing data through Input (both engines
-// require subscriptions to complete before the first push).
+// every workload before pushing data through Input (the executor
+// requires subscriptions to complete before the first push).
 func NewPlan(shards int) *Plan { return NewPlanFused(shards, true) }
 
 // NewPlanFused is NewPlan with explicit control over prefix fusion:
 // fuse false builds per-workload pipelines (the -fuse=false baseline).
 func NewPlanFused(shards int, fuse bool) *Plan {
 	p := &Plan{scorer: incremental.NewScorer(), memo: plan.New(fuse)}
-	if shards < 0 {
-		p.serial = incremental.NewInput[graph.Edge]()
-		p.input = newObsInput(p.serial, "serial")
-		return p
-	}
 	p.eng = engine.New(shards)
 	p.engIn = engine.NewInput[graph.Edge](p.eng)
-	p.input = newObsInput(p.engIn, "sharded")
+	p.input = newObsInput(p.engIn, executorLabel(p.eng))
 	return p
 }
 
@@ -264,8 +256,7 @@ func (p *Plan) Input() Input { return p.input }
 // Scorer returns the scorer aggregating every attached sink.
 func (p *Plan) Scorer() *incremental.Scorer { return p.scorer }
 
-// Engine returns the sharded executor backing the plan, or nil when the
-// plan runs on the serial reference engine.
+// Engine returns the executor backing the plan.
 func (p *Plan) Engine() *engine.Engine { return p.eng }
 
 // Observation is one attached sink's observation history: the workload
@@ -307,34 +298,25 @@ func (p *Plan) Observations() ([]Observation, error) {
 	return out, nil
 }
 
-// Builders supplies the three executions of one query plan for record
-// type T. The bucket argument is the degree bucket width; workloads
-// that do not use it receive 0 and must ignore it.
-//
-// SerialFused and EngineFused are optional memo-aware variants of
-// Serial and Engine: they request reusable pipeline fragments through
-// the plan's fusion memo (see wpinq/internal/plan and the Fused*
-// builders in wpinq/internal/queries), so several workloads attached to
-// one plan share their common operator prefixes. A workload without
-// fused builders still works on every plan — it just never shares.
+// Builders supplies the two forms of one query plan for record type T.
+// The bucket argument is the degree bucket width; workloads that do not
+// use it receive 0 and must ignore it.
 type Builders[T comparable] struct {
 	// Query is the one-shot measurement form over core.Collection.
 	Query func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[T]
-	// Serial is the incremental pipeline on the reference engine.
-	Serial func(edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
-	// Engine is the same pipeline on the sharded parallel executor.
-	Engine func(edges engine.Source[graph.Edge], bucket int) engine.Source[T]
-	// SerialFused is Serial requesting fragments through the memo.
-	SerialFused func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
-	// EngineFused is Engine requesting fragments through the memo.
-	EngineFused func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[T]
+	// Pipeline is the incremental fit form. It requests reusable
+	// fragments through the plan's fusion memo (see wpinq/internal/plan
+	// and the builders in wpinq/internal/queries' fused.go), so several
+	// workloads attached to one fusing plan share their common operator
+	// prefixes; a non-fusing memo builds every fragment privately.
+	Pipeline func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[T]
 }
 
 // Define couples a workload's metadata with its typed builders. The
 // returned workload is ready to Register.
 func Define[T comparable](w Workload, b Builders[T]) Workload {
-	if b.Query == nil || b.Serial == nil || b.Engine == nil {
-		panic(fmt.Sprintf("workload: Define(%q) requires all three builders", w.Name))
+	if b.Query == nil || b.Pipeline == nil {
+		panic(fmt.Sprintf("workload: Define(%q) requires both builders", w.Name))
 	}
 	w.impl = builders[T]{b}
 	return w
@@ -369,22 +351,11 @@ func (bs builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histog
 	return &typedHist[T]{h: h}, nil
 }
 
-// source builds the workload's pipeline on the plan's executor,
-// preferring the fused builders (which share prefixes through the
-// plan's memo) when the workload registered them. Engine streams
-// implement incremental.Source, so both executors return the same
-// stream type and terminate in the same sinks.
+// source builds the workload's pipeline on the plan's executor through
+// the plan's memo. Engine streams implement incremental.Source, so the
+// pipeline terminates in the incremental package's sinks.
 func (bs builders[T]) source(p *Plan, bucket int) incremental.Source[T] {
-	if p.serial != nil {
-		if bs.b.SerialFused != nil {
-			return bs.b.SerialFused(p.memo, p.serial, bucket)
-		}
-		return bs.b.Serial(p.serial, bucket)
-	}
-	if bs.b.EngineFused != nil {
-		return bs.b.EngineFused(p.memo, p.engIn, bucket)
-	}
-	return bs.b.Engine(p.engIn, bucket)
+	return bs.b.Pipeline(p.memo, p.engIn, bucket)
 }
 
 func (bs builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64) error {

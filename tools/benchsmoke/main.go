@@ -54,31 +54,6 @@ type report struct {
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
 }
 
-// UnmarshalJSON also accepts the legacy baseline schema, where each
-// benchmark mapped to a bare ns/op number.
-func (r *report) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	r.Benchmarks = make(map[string]map[string]float64, len(raw.Benchmarks))
-	for name, v := range raw.Benchmarks {
-		var ns float64
-		if err := json.Unmarshal(v, &ns); err == nil {
-			r.Benchmarks[name] = map[string]float64{"ns/op": ns}
-			continue
-		}
-		var units map[string]float64
-		if err := json.Unmarshal(v, &units); err != nil {
-			return fmt.Errorf("benchmark %s: %w", name, err)
-		}
-		r.Benchmarks[name] = units
-	}
-	return nil
-}
-
 // event is the subset of the `go test -json` stream the parser needs.
 // Output chunks of one package are concatenated before line scanning:
 // test2json flushes a benchmark's name and its result line as separate
@@ -234,8 +209,8 @@ func run(bench, benchtime, pkgs string, short bool) (report, error) {
 
 // compare reports each benchmark's gated metrics against the baseline
 // and returns whether any exceeded the threshold. A gated unit absent
-// from the baseline (e.g. a legacy ns/op-only file) is informational
-// until the baseline is regenerated with -update. A baseline benchmark
+// from the baseline is informational until the baseline is regenerated
+// with -update. A baseline benchmark
 // that produced no result is a failure (a silently vanished benchmark
 // would otherwise pass forever) — except under -short, where full-scale
 // cases the baseline records from a complete run legitimately skip.
